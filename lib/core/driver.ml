@@ -390,9 +390,15 @@ let with_engine ~options ?pool ?cache ?frags f =
    overwrites the entry. *)
 
 (* Only trajectory-defining knobs participate: [jobs], [eval_cache],
-   [delta_reprice] and [sweep_parallel] are bit-identity-neutral by
-   construction (asserted by the bench's eval-engine section), so results
-   computed at any engine configuration serve every other one. *)
+   [delta_reprice] and [sweep_parallel] are neutral by construction, so
+   results computed at any engine configuration serve every other one.
+   test_parallel and test_parallel_sweep check [jobs] and [sweep_parallel],
+   test_delta checks [delta_reprice], and test_store checks that
+   [eval_cache = false] gives the same cost, area, ENC, Vdd and STG
+   signature.  The moves log can differ with the caches off: the
+   signature cache serves relabeled-isomorphic bindings from one entry, so
+   a cached search may log a different (equal-cost) move sequence, and a
+   warm hit returns whichever log was stored. *)
 let options_fingerprint o =
   Printf.sprintf "clock=%h,style=%s,depth=%d,cand=%d,seed=%d,restructure=%b,iter=%d,probes=%d%s"
     o.clock_ns
@@ -632,8 +638,7 @@ let figure13_cold ~options ?pool ?cache ?frags env0 ~enc_min program ~workload ~
      RNG from [options.seed] and only reads the shared run/memos, whose
      entries are deterministic functions of their keys — so the coarse
      fan-out below is bit-identical to the sequential sweep regardless of
-     which domain computes which point (asserted by test_parallel_sweep and
-     the bench eval-engine section). *)
+     which domain computes which point (asserted by test_parallel_sweep). *)
   with_engine ~options ?pool ?cache ?frags (fun ?pool ?cache () ->
       let synth ~objective ~laxity =
         let env =

@@ -170,10 +170,11 @@ let optimize env start ~rng ~depth ~max_candidates ?(max_iterations = 50)
      out only when measured dispatch overhead stays under
      [overhead_fraction] of it — falling back to inline even for batches of
      nominally heavy candidates when dispatch costs more than the work
-     (delta repricing made "heavy" cheap on small designs, which is exactly
-     the BENCH_3 regression).  Chunks are sized so per-chunk dispatch also
-     respects the fraction; the work-stealing deques absorb skew between
-     chunks.  Every evaluation is timed to keep the EMAs fresh; placement
+     (delta repricing made "heavy" cheap on small designs, and fanning such
+     batches out once made the pooled search ~3x slower than the sequential
+     one).  Chunks are sized so per-chunk dispatch also respects the
+     fraction; the work-stealing deques absorb skew between chunks.  Every
+     evaluation is timed to keep the EMAs fresh; placement
      decisions never change values, so the trajectory is gate-independent. *)
   let eval_gated probe_env cursor cands =
     let f move = Moves.apply ?cache ~metrics ~delta probe_env cursor move in
@@ -335,8 +336,8 @@ let optimize env start ~rng ~depth ~max_candidates ?(max_iterations = 50)
         match pool with
         (* Probe fan-out is worth it only with real hardware parallelism:
            time-slicing whole depth probes on one core pays dispatch and
-           context-switch cost for nothing (the BENCH_3 lesson, at probe
-           granularity). *)
+           context-switch cost for nothing (the same lesson as the flat
+           path's gate, at probe granularity). *)
         | Some p when Parallel.physical_parallelism p > 1 ->
           let t0 = Parallel.now_s () in
           let rs, st = Parallel.map_stealing p ~chunk:1 run_probe probes in

@@ -65,15 +65,19 @@ let test_sweep_parallel_identical bench () =
   check_bool "pooled sweep = sequential sweep (power, area, Vdd, ENC, moves)" true
     (sweep_fingerprint seq = sweep_fingerprint coarse)
 
+(* Probes = 1 is the flat single-trajectory path, where the pool only sees
+   the measured-cost batch gate; the default probes fan out depth probes. *)
 let test_sweep_inner_parallel_identical () =
-  let seq =
-    sweep Suite.gcd { sweep_options with Driver.jobs = 1; sweep_parallel = false }
-  in
-  let inner =
-    sweep Suite.gcd { sweep_options with Driver.jobs = 4; sweep_parallel = false }
-  in
-  check_bool "candidate-level pool only, same sweep" true
-    (sweep_fingerprint seq = sweep_fingerprint inner)
+  List.iter
+    (fun probes ->
+      let opts = { sweep_options with Driver.probes; sweep_parallel = false } in
+      let seq = sweep Suite.gcd { opts with Driver.jobs = 1 } in
+      let inner = sweep Suite.gcd { opts with Driver.jobs = 4 } in
+      check_bool
+        (Printf.sprintf "candidate-level pool only, same sweep (probes %d)" probes)
+        true
+        (sweep_fingerprint seq = sweep_fingerprint inner))
+    [ Search.default_num_probes; 1 ]
 
 (* --- the adaptive granularity gate ----------------------------------------- *)
 
@@ -134,7 +138,7 @@ let test_granularity_gate () =
         = fan_stats.Search.batches_parallel);
       (* On hardware with a single core the gate must keep everything
          inline no matter how the candidates classify — dispatching onto an
-         oversubscribed core is the BENCH_3 regression this gate fixes. *)
+         oversubscribed core is the regression this gate fixes. *)
       if Parallel.physical_parallelism pool <= 1 then
         check_int "single core: auto gate never dispatches" 0
           auto_stats.Search.batches_parallel;

@@ -431,6 +431,53 @@ let test_warm_miss_reuses_front_tiers () =
       check_bool "warm miss bit-identical to storeless cold" true
         (design_fingerprint warm_miss = design_fingerprint cold))
 
+(* [Driver.options_fingerprint] leaves [eval_cache] out of the store key, so
+   a design searched with the caches off must price identically to one
+   searched with them on.  The moves log is not compared: the signature
+   cache serves relabeled-isomorphic bindings from one entry, so the two
+   logs can name different (equal-cost) moves. *)
+let priced_fingerprint d =
+  ( d.Driver.d_solution.Solution.cost,
+    d.Driver.d_solution.Solution.area,
+    d.Driver.d_solution.Solution.enc,
+    d.Driver.d_solution.Solution.vdd,
+    Stg.signature d.Driver.d_solution.Solution.stg )
+
+let test_eval_cache_key_neutral () =
+  let uncached = { small_options with Driver.eval_cache = false } in
+  List.iter
+    (fun bench ->
+      let prog = Suite.program bench in
+      let workload = bench.Suite.workload ~seed:7 ~passes:10 in
+      let synth options =
+        Driver.synthesize ~options prog ~workload ~objective:Solution.Minimize_power
+          ~laxity:2.0 ()
+      in
+      check_bool
+        (bench.Suite.bench_name ^ " eval_cache off prices identically")
+        true
+        (priced_fingerprint (synth small_options) = priced_fingerprint (synth uncached)))
+    [ Suite.gcd; Suite.cordic; Suite.paulin ];
+  let prog = Suite.program Suite.gcd in
+  let workload = Suite.gcd.Suite.workload ~seed:7 ~passes:10 in
+  let sweep options =
+    let sw = Driver.figure13 ~options prog ~workload ~laxities:[ 1.0; 2.0; 3.0 ] in
+    ( sw.Driver.sw_base_power,
+      sw.Driver.sw_base_area,
+      List.map
+        (fun p ->
+          ( p.Driver.sp_a_power,
+            p.Driver.sp_i_power,
+            p.Driver.sp_i_area,
+            p.Driver.sp_a_vdd,
+            p.Driver.sp_i_vdd,
+            priced_fingerprint p.Driver.sp_area_design,
+            priced_fingerprint p.Driver.sp_power_design ))
+        sw.Driver.sw_points )
+  in
+  check_bool "gcd figure13 eval_cache off prices identically" true
+    (sweep small_options = sweep uncached)
+
 (* --- single-flight scheduler ---------------------------------------------- *)
 
 module Flight = Impact_store.Flight
@@ -620,6 +667,8 @@ let () =
             test_warm_corruption_falls_back;
           Alcotest.test_case "warm miss reuses front tiers" `Slow
             test_warm_miss_reuses_front_tiers;
+          Alcotest.test_case "eval_cache is store-key neutral" `Slow
+            test_eval_cache_key_neutral;
           QCheck_alcotest.to_alcotest prop_warm_identity_over_seeds;
         ] );
     ]

@@ -4,7 +4,6 @@ module Bitvec = Impact_util.Bitvec
 module Rng = Impact_util.Rng
 module Stats = Impact_util.Stats
 module Linsolve = Impact_util.Linsolve
-module Pqueue = Impact_util.Pqueue
 module Table = Impact_util.Table
 
 let check_int = Alcotest.(check int)
@@ -161,27 +160,6 @@ let test_hitting_times_geometric () =
   let t = Linsolve.hitting_times q in
   check_bool "close to 10" true (abs_float (t.(0) -. 10.) < 1e-9)
 
-(* --- Pqueue ------------------------------------------------------------ *)
-
-let test_pqueue_order () =
-  let q = Pqueue.create () in
-  List.iter (fun (p, v) -> Pqueue.push q p v) [ (3., "c"); (1., "a"); (2., "b") ];
-  let order = List.map snd (Pqueue.to_sorted_list q) in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] order;
-  check_int "non destructive" 3 (Pqueue.length q)
-
-let pqueue_prop =
-  QCheck.Test.make ~name:"pqueue drains sorted" ~count:200
-    QCheck.(list (float_range 0. 100.))
-    (fun floats ->
-      let q = Pqueue.create () in
-      List.iter (fun f -> Pqueue.push q f ()) floats;
-      let rec drain acc =
-        match Pqueue.pop q with None -> List.rev acc | Some (p, ()) -> drain (p :: acc)
-      in
-      let order = drain [] in
-      order = List.sort Float.compare floats)
-
 (* --- Table ------------------------------------------------------------- *)
 
 let test_table_render () =
@@ -233,9 +211,6 @@ let () =
           Alcotest.test_case "hitting chain" `Quick test_hitting_times_chain;
           Alcotest.test_case "hitting geometric" `Quick test_hitting_times_geometric;
         ] );
-      ( "pqueue",
-        Alcotest.test_case "order" `Quick test_pqueue_order
-        :: qsuite [ pqueue_prop ] );
       ( "table",
         [
           Alcotest.test_case "render" `Quick test_table_render;
