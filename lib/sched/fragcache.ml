@@ -8,7 +8,9 @@ type backing = {
 (* One cached fragment.  [e_key] is the full canonical key string (context
    prepended), kept so a commit can replay the overlay's entries into the
    persistent backing; [e_from_store] marks entries that came *from* the
-   backing so they are never written back. *)
+   backing so they are never written back.  An entry is persisted only by
+   the [add_if_absent] that inserted it into the shared table, so each key
+   is written once however many forks computed it. *)
 type entry = {
   e_frag : Stg.portable_frag;
   e_cost_ns : int;
@@ -132,9 +134,7 @@ let add t key ~cost_ns frag =
   in
   match t.fc_overlay with
   | Some o -> Hashtbl.replace o fk e
-  | None ->
-    ignore (Shardtbl.add_if_absent t.fc_shared fk e);
-    store_put t e
+  | None -> if Shardtbl.add_if_absent t.fc_shared fk e == e then store_put t e
 
 let find_stg t key =
   let fk = full_key t key in
@@ -160,9 +160,7 @@ let commit t =
   | None -> ()
   | Some o ->
     Hashtbl.iter
-      (fun fk e ->
-        ignore (Shardtbl.add_if_absent t.fc_shared fk e);
-        store_put t e)
+      (fun fk e -> if Shardtbl.add_if_absent t.fc_shared fk e == e then store_put t e)
       o;
     Hashtbl.reset o);
   match t.fc_stg_overlay with

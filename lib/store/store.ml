@@ -8,10 +8,10 @@
    The payload digest deliberately excludes the clock and cost words: a hit
    refreshes the clock by rewriting its 8 bytes in place without touching
    (or re-checksumming) the payload.  The clock is a store-wide monotonic
-   counter persisted in a [clock] file at the root, so recency ordering
-   survives process restarts at full resolution — unlike the 1-second
-   mtime granularity it replaces, under which hits within the same second
-   tied arbitrarily. *)
+   counter whose reserved ceiling is persisted in a [clock] file at the
+   root, so recency ordering survives process restarts at full resolution —
+   unlike the 1-second mtime granularity it replaces, under which hits
+   within the same second tied arbitrarily. *)
 
 let magic = "IMPACTSTORE\002"
 let clock_off = String.length magic
@@ -20,6 +20,9 @@ let digest_off = cost_off + 8
 let header_len = digest_off + 16
 let default_max_bytes = 256 * 1024 * 1024
 let default_ns = "design"
+
+(* Ticks a handle reserves per write of the [clock] file. *)
+let clock_block = 1024
 
 type tier_stats = {
   ts_entries : int;
@@ -58,7 +61,14 @@ type t = {
   mem_order : string Queue.t;  (* FIFO of memory-layer keys *)
   lock : Mutex.t;
   tiers : (string, counters) Hashtbl.t;
-  mutable clock : int;
+  mutable clock : int;  (* last tick issued *)
+  mutable ceiling : int;  (* persisted bound on every tick issued so far *)
+  (* Object path -> size, built by the first put's scan and kept current by
+     this handle's puts, evictions and removals; [tracked] is its sum.
+     Other processes' writes count from the next scan on. *)
+  index : (string, int) Hashtbl.t;
+  mutable indexed : bool;
+  mutable tracked : int;
   mutable hits : int;
   mutable misses : int;
   mutable writes : int;
@@ -124,6 +134,10 @@ let open_store ?dir ?max_bytes ?(mem_capacity = 128) () =
       lock = Mutex.create ();
       tiers = Hashtbl.create 8;
       clock = 0;
+      ceiling = 0;
+      index = Hashtbl.create 0;
+      indexed = false;
+      tracked = 0;
       hits = 0;
       misses = 0;
       writes = 0;
@@ -134,6 +148,7 @@ let open_store ?dir ?max_bytes ?(mem_capacity = 128) () =
   mkdir_p (objects_dir t);
   mkdir_p (tmp_dir t);
   t.clock <- load_clock t;
+  t.ceiling <- t.clock;
   t
 
 let dir t = t.root
@@ -164,23 +179,29 @@ let counters_for t ns =
     Hashtbl.replace t.tiers ns c;
     c
 
-(* Allocate the next logical-clock tick and persist the counter (atomic
-   rename, so a torn write can never leave garbage).  Persistence is
+(* Allocate the next logical-clock tick.  Once a tick passes the persisted
+   ceiling, reserve [clock_block] more and persist the new ceiling before
+   issuing it (atomic rename, so a torn write can never leave garbage): a
+   later handle starts from the ceiling, above every tick this one issued,
+   even if this process dies without a shutdown.  Persistence is
    best-effort: losing the file only costs eviction-order fidelity. *)
 let bump_clock t =
   t.clock <- t.clock + 1;
-  t.tmp_counter <- t.tmp_counter + 1;
-  let tmp =
-    Filename.concat (tmp_dir t)
-      (Printf.sprintf "clock.%d.%d" (Unix.getpid ()) t.tmp_counter)
-  in
-  (try
-     let oc = open_out_bin tmp in
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () -> output_string oc (string_of_int t.clock));
-     Sys.rename tmp (clock_path t)
-   with Sys_error _ | Unix.Unix_error _ -> ( try Sys.remove tmp with Sys_error _ -> ()));
+  if t.clock > t.ceiling then begin
+    t.ceiling <- t.clock + clock_block;
+    t.tmp_counter <- t.tmp_counter + 1;
+    let tmp =
+      Filename.concat (tmp_dir t)
+        (Printf.sprintf "clock.%d.%d" (Unix.getpid ()) t.tmp_counter)
+    in
+    try
+      let oc = open_out_bin tmp in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () -> output_string oc (string_of_int t.ceiling));
+      Sys.rename tmp (clock_path t)
+    with Sys_error _ | Unix.Unix_error _ -> ( try Sys.remove tmp with Sys_error _ -> ())
+  end;
   t.clock
 
 let put_int64_be b off v =
@@ -241,14 +262,28 @@ let refresh_clock t path =
 
 let mem_key ns k = ns ^ ":" ^ k
 
+(* An overwrite replaces the remembered payload in place. *)
 let remember t mk payload =
-  if not (Hashtbl.mem t.mem mk) then begin
+  if Hashtbl.mem t.mem mk then Hashtbl.replace t.mem mk payload
+  else begin
     Hashtbl.replace t.mem mk payload;
     Queue.push mk t.mem_order;
     while Hashtbl.length t.mem > t.mem_capacity do
       Hashtbl.remove t.mem (Queue.pop t.mem_order)
     done
   end
+
+let index_set t path size =
+  let old = Option.value (Hashtbl.find_opt t.index path) ~default:0 in
+  Hashtbl.replace t.index path size;
+  t.tracked <- t.tracked + size - old
+
+let index_remove t path =
+  match Hashtbl.find_opt t.index path with
+  | Some size ->
+    Hashtbl.remove t.index path;
+    t.tracked <- t.tracked - size
+  | None -> ()
 
 let check_args fname ns k =
   if not (valid_key k) then invalid_arg (Printf.sprintf "Store.%s: not a content key" fname);
@@ -283,6 +318,7 @@ let find ?(ns = default_ns) t k =
             (* Truncated, corrupted or written by a different format
                version: discard so it never costs another read. *)
             (try Sys.remove path with Sys_error _ -> ());
+            index_remove t path;
             t.misses <- t.misses + 1;
             c.c_misses <- c.c_misses + 1;
             None)))
@@ -322,35 +358,45 @@ let disk_usage t =
         Hashtbl.replace per_ns ns (e + 1, b + st.Unix.st_size));
   (!entries, !bytes, per_ns)
 
-(* Cost-aware eviction: rank objects by recompute cost per byte, ascending —
-   the cheapest-to-recompute byte goes first, so an expensive sweep outlives
-   a cheap synth of the same size — with the logical clock as tiebreak
-   (least recently touched first; objects whose header cannot be read rank
+(* The full scan: re-sync the index with what is on disk (one stat per
+   object), then, only if that exceeds [cap], apply cost-aware eviction:
+   rank objects by recompute cost per byte, ascending — the
+   cheapest-to-recompute byte goes first, so an expensive sweep outlives a
+   cheap synth of the same size — with the logical clock as tiebreak (least
+   recently touched first; objects whose header cannot be read rank
    cheapest of all). *)
 let evict_locked t cap =
   let objs = ref [] in
+  Hashtbl.reset t.index;
+  t.tracked <- 0;
+  t.indexed <- true;
   iter_objects t (fun path ns name ->
       match Unix.stat path with
       | exception Unix.Unix_error _ -> ()
       | st ->
-        let size = st.Unix.st_size in
-        let clock, cost_ns =
-          match read_header path with Some (c, n) -> (c, n) | None -> (0, 0)
-        in
-        let cost_per_byte = float_of_int cost_ns /. float_of_int (max 1 size) in
-        objs := (cost_per_byte, clock, size, path, ns, mem_key ns name) :: !objs);
-  let total = List.fold_left (fun acc (_, _, size, _, _, _) -> acc + size) 0 !objs in
-  if total <= cap then (0, [])
+        index_set t path st.Unix.st_size;
+        objs := (st.Unix.st_size, path, ns, name) :: !objs);
+  if t.tracked <= cap then (0, [])
   else begin
-    let by_worth = List.sort compare !objs in
-    let removed = ref 0 and remaining = ref total in
+    let ranked =
+      List.map
+        (fun (size, path, ns, name) ->
+          let clock, cost_ns =
+            match read_header path with Some (c, n) -> (c, n) | None -> (0, 0)
+          in
+          let cost_per_byte = float_of_int cost_ns /. float_of_int (max 1 size) in
+          (cost_per_byte, clock, size, path, ns, mem_key ns name))
+        !objs
+    in
+    let by_worth = List.sort compare ranked in
+    let removed = ref 0 in
     let per_ns : (string, int * int) Hashtbl.t = Hashtbl.create 8 in
     List.iter
       (fun (_, _, size, path, ns, mk) ->
-        if !remaining > cap then begin
+        if t.tracked > cap then begin
           (try Sys.remove path with Sys_error _ -> ());
           Hashtbl.remove t.mem mk;
-          remaining := !remaining - size;
+          index_remove t path;
           incr removed;
           let e, b = Option.value (Hashtbl.find_opt per_ns ns) ~default:(0, 0) in
           Hashtbl.replace per_ns ns (e + 1, b + size)
@@ -390,7 +436,10 @@ let put ?(ns = default_ns) ?(cost_ns = 0) t k payload =
       | () ->
         t.writes <- t.writes + 1;
         (counters_for t ns).c_writes <- (counters_for t ns).c_writes + 1;
-        ignore (evict_locked t t.cap)
+        (* An overwrite replaces the old size; the scan runs on the first
+           put (to build the index) and whenever the total passes the cap. *)
+        if t.indexed then index_set t final (header_len + String.length payload);
+        if (not t.indexed) || t.tracked > t.cap then ignore (evict_locked t t.cap)
       | exception (Sys_error _ | Unix.Unix_error _) ->
         (* A cache write that fails only costs a future recompute. *)
         (try Sys.remove tmp with Sys_error _ -> ()))
@@ -405,6 +454,10 @@ let clear t =
           with Sys_error _ -> ());
       Hashtbl.reset t.mem;
       Queue.clear t.mem_order;
+      (* Whatever failed to go is counted by the next put's re-scan. *)
+      Hashtbl.reset t.index;
+      t.tracked <- 0;
+      t.indexed <- false;
       !removed)
 
 let gc_report ?max_bytes t =
@@ -412,6 +465,10 @@ let gc_report ?max_bytes t =
   Mutex.protect t.lock (fun () -> evict_locked t cap)
 
 let gc ?max_bytes t = fst (gc_report ?max_bytes t)
+
+let hits ?(ns = default_ns) t =
+  Mutex.protect t.lock (fun () ->
+      match Hashtbl.find_opt t.tiers ns with Some c -> c.c_hits | None -> 0)
 
 let stats t =
   Mutex.protect t.lock (fun () ->

@@ -17,16 +17,25 @@
     - {b crash safety}: objects are written to a temp file and atomically
       renamed into place, so an interrupted writer can never leave a
       half-written object visible;
-    - {b bounded size}: once the store exceeds its byte cap, writes evict
-      the objects cheapest to recompute per byte first (by the recorded
-      [cost_ns] / size ratio), breaking ties by a monotonic logical clock
-      (least recently touched first) that hits refresh in place.  The
-      clock counter persists in a [clock] file at the store root, so
-      recency ordering survives restarts at full resolution — no 1-second
-      mtime ties.
+    - {b bounded size}: a handle tracks the store's byte total in a
+      path-to-size index, built by one directory scan on its first {!put}
+      (not by {!open_store}) and updated by its own writes, overwrites,
+      evictions and removals, so a write costs one file write.  Once the
+      tracked total exceeds the byte cap, a full scan re-syncs the index
+      with the disk and evicts the objects cheapest to recompute per byte
+      first (by the recorded [cost_ns] / size ratio), breaking ties by a
+      monotonic logical clock (least recently touched first) that hits
+      refresh in place.  A handle reserves clock ticks in blocks of 1024
+      and persists the block's ceiling in a [clock] file at the store
+      root before issuing its first tick, so the [clock] file is
+      rewritten once per block, and a later handle — even after a crash
+      — starts above every tick issued before it: recency ordering
+      survives restarts at full resolution, with no 1-second mtime ties.
 
     Concurrent processes may share a directory: rename is atomic and every
-    object is self-validating.  Within a process a handle is thread-safe
+    object is self-validating.  Writes by another process count towards
+    this handle's total once this handle's next scan (on exceeding the
+    cap, or {!gc}) sees them.  Within a process a handle is thread-safe
     (one mutex; the payloads move in and out as immutable strings). *)
 
 type t
@@ -61,10 +70,10 @@ val find : ?ns:string -> t -> string -> string option
     the memory layer. *)
 
 val put : ?ns:string -> ?cost_ns:int -> t -> string -> string -> unit
-(** Persists (atomic rename) and caches in memory; then evicts objects
-    while the store exceeds its cap.  [cost_ns] records what the payload
-    cost to compute — the eviction policy keeps expensive-per-byte objects
-    longest.  Write errors (permissions, full disk) are swallowed: the
+(** Persists (atomic rename) and caches in memory; then, if the tracked
+    total exceeds the cap, scans and evicts objects until the store fits.
+    [cost_ns] records what the payload cost to compute — the eviction
+    policy keeps expensive-per-byte objects longest.  Write errors (permissions, full disk) are swallowed: the
     store is a cache, losing a write only costs the next run a recompute. *)
 
 val clear : t -> int
@@ -72,9 +81,9 @@ val clear : t -> int
     returns the count. *)
 
 val gc : ?max_bytes:int -> t -> int
-(** Evicts objects (cheapest recompute-per-byte first, clock tiebreak)
-    until the store fits the cap (default: the handle's); returns the
-    eviction count. *)
+(** Scans the store (re-syncing the tracked total) and evicts objects
+    (cheapest recompute-per-byte first, clock tiebreak) until the store
+    fits the cap (default: the handle's); returns the eviction count. *)
 
 type gc_tier = {
   gt_ns : string;  (** namespace *)
@@ -108,6 +117,11 @@ type stats = {
 }
 
 val stats : t -> stats
+(** Scans the disk for the entry and byte counts. *)
+
+val hits : ?ns:string -> t -> int
+(** This handle's lookup hits in one namespace (default {!default_ns}):
+    [ts_hits] without the directory scan {!stats} makes. *)
 
 val human_bytes : int -> string
 (** ["65.4 KiB"], not ["65389"] — binary units, one decimal (bare ["B"]

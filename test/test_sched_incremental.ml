@@ -306,6 +306,49 @@ let test_fragcache_backing () =
   let fc4 = Fragcache.create ~context:"c" ~backing () in
   check_bool "corrupt backing payload is a miss" true (Fragcache.find fc4 "k" = None)
 
+(* Each distinct key reaches the backing exactly once, whichever of the
+   shared table and the forks computed it first, and an entry loaded from
+   the backing is never written back to it. *)
+let test_fragcache_write_once () =
+  let disk = Hashtbl.create 8 in
+  let puts = Hashtbl.create 8 in
+  let backing =
+    {
+      Fragcache.bk_find = Hashtbl.find_opt disk;
+      bk_put =
+        (fun k ~cost_ns:_ v ->
+          Hashtbl.replace puts k (1 + Option.value (Hashtbl.find_opt puts k) ~default:0);
+          Hashtbl.replace disk k v);
+    }
+  in
+  let f () = Stg.frag_of_chain [ mk_state; mk_state ] in
+  let fc = Fragcache.create ~context:"c" ~backing () in
+  let p1 = Fragcache.fork fc and p2 = Fragcache.fork fc in
+  Fragcache.add fc "shared" ~cost_ns:5 (f ());
+  Fragcache.add fc "shared" ~cost_ns:6 (f ());
+  List.iter
+    (fun p ->
+      Fragcache.add p "shared" ~cost_ns:7 (f ());
+      Fragcache.add p "forked" ~cost_ns:8 (f ());
+      Fragcache.commit p)
+    [ p1; p2 ];
+  Fragcache.add fc "forked" ~cost_ns:9 (f ());
+  let count k = Option.value (Hashtbl.find_opt puts ("c\x00" ^ k)) ~default:0 in
+  check_int "distinct keys written" 2 (Hashtbl.length puts);
+  check_int "shared-table key written once" 1 (count "shared");
+  check_int "forked key written once" 1 (count "forked");
+  (* A fresh cache loads "shared" from the backing, directly and through a
+     committing fork: neither path writes it back. *)
+  let fc2 = Fragcache.create ~context:"c" ~backing () in
+  let p3 = Fragcache.fork fc2 in
+  check_bool "fork loads from the backing" true (Fragcache.find p3 "forked" <> None);
+  Fragcache.commit p3;
+  check_bool "shared table loads from the backing" true
+    (Fragcache.find fc2 "shared" <> None);
+  Fragcache.add fc2 "shared" ~cost_ns:10 (f ());
+  check_int "loaded entries never written back" 1 (count "shared");
+  check_int "loaded fork entries never written back" 1 (count "forked")
+
 (* --- The persistent frag tier through the driver --------------------------- *)
 
 let rec rm_rf path =
@@ -382,6 +425,8 @@ let () =
             test_fragcache_roundtrip;
           Alcotest.test_case "fork/commit" `Quick test_fragcache_fork_commit;
           Alcotest.test_case "persistent backing" `Quick test_fragcache_backing;
+          Alcotest.test_case "backing written once per key" `Quick
+            test_fragcache_write_once;
         ] );
       ( "store",
         [ Alcotest.test_case "frag tier via driver" `Quick test_frag_store_tier ] );

@@ -128,6 +128,182 @@ let test_hit_refreshes_clock () =
       check_bool "recently hit object kept" true (Sys.file_exists (object_path d "a"));
       check_bool "stale object evicted" true (not (Sys.file_exists (object_path d "b"))))
 
+(* --- incremental eviction -------------------------------------------------- *)
+
+(* An independent walk of the objects directory: (content key, size) of
+   every object on disk, all namespaces. *)
+let disk_objects dir =
+  let acc = ref [] in
+  let rec walk path =
+    match Unix.lstat path with
+    | exception Unix.Unix_error _ -> ()
+    | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun n -> walk (Filename.concat path n)) (Sys.readdir path)
+    | { Unix.st_kind = Unix.S_REG; st_size; _ } ->
+      acc := (Filename.basename path, st_size) :: !acc
+    | _ -> ()
+  in
+  walk (Filename.concat dir "objects");
+  List.sort compare !acc
+
+let disk_bytes dir = List.fold_left (fun n (_, b) -> n + b) 0 (disk_objects dir)
+
+(* Magic (12) + clock (8) + cost (8) + digest (16). *)
+let envelope_bytes = 44
+
+type store_op = Put of int * int * int | Find of int | Gc of int
+
+let show_op = function
+  | Put (i, n, c) -> Printf.sprintf "put k%d %dB cost %d" i n c
+  | Find i -> Printf.sprintf "find k%d" i
+  | Gc m -> Printf.sprintf "gc %d" m
+
+(* Random put/find/gc sequences on a small cap against a model of the
+   full-scan policy: after every put the disk fits the cap, and after
+   every put and gc the surviving objects are exactly the ones the model
+   keeps when it ranks everything by cost per byte, then clock, and evicts
+   from the bottom until the total fits.  The model's clock is the order
+   of puts and hits, which is all the store's ticks encode. *)
+let prop_incremental_eviction =
+  let cap = 3000 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 5,
+            map3
+              (fun i n c -> Put (i, n, c))
+              (int_bound 7) (int_bound 1200)
+              (oneofl [ 0; 0; 1_000; 40_000; 2_000_000 ]) );
+          (3, map (fun i -> Find i) (int_bound 7));
+          (1, map (fun m -> Gc m) (int_range 800 cap));
+        ])
+  in
+  QCheck.Test.make ~count:60 ~name:"store: incremental eviction == full-scan policy"
+    (QCheck.make ~print:QCheck.Print.(list show_op) QCheck.Gen.(list_size (int_range 1 60) op))
+    (fun ops ->
+      with_dir (fun d ->
+          let s = Store.open_store ~dir:d ~max_bytes:cap ~mem_capacity:4 () in
+          (* key index -> (payload, size, cost, clock) *)
+          let model = Hashtbl.create 8 in
+          let tick = ref 0 in
+          let next () =
+            incr tick;
+            !tick
+          in
+          let evict_model limit =
+            let objs =
+              Hashtbl.fold
+                (fun i (_, size, cost, clock) acc ->
+                  ((float_of_int cost /. float_of_int size, clock), i, size) :: acc)
+                model []
+              |> List.sort compare
+            in
+            let total = ref (List.fold_left (fun n (_, _, b) -> n + b) 0 objs) in
+            List.iter
+              (fun (_, i, size) ->
+                if !total > limit then begin
+                  Hashtbl.remove model i;
+                  total := !total - size
+                end)
+              objs
+          in
+          let agree what =
+            let expected =
+              Hashtbl.fold
+                (fun i (_, size, _, _) acc -> (k (string_of_int i), size) :: acc)
+                model []
+              |> List.sort compare
+            in
+            if disk_objects d <> expected then
+              QCheck.Test.fail_reportf "%s: survivors differ" what
+          in
+          List.iter
+            (fun o ->
+              match o with
+              | Put (i, n, cost) ->
+                let payload = String.make n (Char.chr (97 + i)) ^ string_of_int !tick in
+                Store.put s ~cost_ns:cost (k (string_of_int i)) payload;
+                Hashtbl.replace model i
+                  (payload, envelope_bytes + String.length payload, cost, next ());
+                evict_model cap;
+                if disk_bytes d > cap then
+                  QCheck.Test.fail_reportf "%s: over the cap" (show_op o);
+                agree (show_op o)
+              | Find i -> (
+                let got = Store.find s (k (string_of_int i)) in
+                match Hashtbl.find_opt model i with
+                | Some (payload, size, cost, _) ->
+                  if got <> Some payload then
+                    QCheck.Test.fail_reportf "%s: wrong hit" (show_op o);
+                  Hashtbl.replace model i (payload, size, cost, next ())
+                | None ->
+                  if got <> None then QCheck.Test.fail_reportf "%s: stale hit" (show_op o))
+              | Gc m ->
+                ignore (Store.gc ~max_bytes:m s);
+                evict_model m;
+                agree (show_op o))
+            ops;
+          true))
+
+(* A handle's tracked total counts an overwrite once, and other writers'
+   bytes from its next scan on.  [s2] writes behind [s1]'s back with a
+   large cap, so only a scan by [s1] can evict them. *)
+let test_tracked_total () =
+  with_dir (fun d ->
+      let obj = envelope_bytes + 1000 in
+      let cap = (5 * obj) / 2 in
+      let s1 = Store.open_store ~dir:d ~max_bytes:cap () in
+      Store.put s1 (k "a") (String.make 1000 'a');
+      let s2 = Store.open_store ~dir:d () in
+      Store.put s2 (k "b") (String.make 1000 'b');
+      Store.put s2 (k "c") (String.make 1000 'c');
+      (* Tracked by [s1]: [a] alone, however often it is overwritten; a
+         double count would pass the cap and scan, evicting [b]. *)
+      for _ = 1 to 5 do
+        Store.put s1 (k "a") (String.make 1000 'a')
+      done;
+      check_int "overwrites evict nothing" (3 * obj) (disk_bytes d);
+      Store.put s1 (k "d") (String.make 1000 'd');
+      check_int "other writers' bytes unseen until a scan" (4 * obj) (disk_bytes d);
+      Store.put s1 (k "e") (String.make 1000 'e');
+      check_bool "the next scan counts them" true (disk_bytes d <= cap);
+      check_int "and evicts down to the cap" 2 (List.length (disk_objects d)))
+
+(* The clock word of an object's envelope. *)
+let clock_of path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> Int64.to_int (String.get_int64_be (really_input_string ic 20) 12))
+
+(* Ticks are reserved in blocks; a handle dropped without any shutdown after
+   more than one block still leaves a ceiling above every tick it issued, so
+   the next handle's hit outranks all of them. *)
+let test_clock_blocks () =
+  with_dir (fun d ->
+      let s1 = Store.open_store ~dir:d () in
+      let names = List.init 4 (Printf.sprintf "n%d") in
+      List.iter (fun n -> Store.put s1 (k n) n) names;
+      for i = 1 to 1500 do
+        ignore (Store.find s1 (k (List.nth names (i mod 4))))
+      done;
+      let clocks () = List.map (fun n -> (n, clock_of (object_path d n))) names in
+      let oldest, _ =
+        List.fold_left (fun (n, c) (n', c') -> if c' < c then (n', c') else (n, c))
+          ("", max_int) (clocks ())
+      in
+      check_bool "first handle passed one block" true
+        (List.exists (fun (_, c) -> c > 1024) (clocks ()));
+      let s2 = Store.open_store ~dir:d () in
+      check_bool "second handle hits" true (Store.find s2 (k oldest) = Some oldest);
+      let refreshed = clock_of (object_path d oldest) in
+      List.iter
+        (fun (n, c) ->
+          if n <> oldest then
+            check_bool ("second handle's hit outranks " ^ n) true (refreshed > c))
+        (clocks ()))
+
 let test_cost_aware_eviction () =
   with_dir (fun d ->
       (* [a] is the oldest but was expensive to recompute; ranking by
@@ -646,6 +822,9 @@ let () =
           Alcotest.test_case "logical-clock eviction" `Quick test_clock_eviction;
           Alcotest.test_case "hit refreshes clock" `Quick test_hit_refreshes_clock;
           Alcotest.test_case "cost-aware eviction" `Quick test_cost_aware_eviction;
+          Alcotest.test_case "tracked total" `Quick test_tracked_total;
+          Alcotest.test_case "clock ticks reserved in blocks" `Quick test_clock_blocks;
+          QCheck_alcotest.to_alcotest prop_incremental_eviction;
           Alcotest.test_case "tier namespaces" `Quick test_tiers;
           Alcotest.test_case "human-readable sizes" `Quick test_human_bytes;
           Alcotest.test_case "corruption reads as miss" `Quick test_corruption;
