@@ -1104,7 +1104,7 @@ let () =
             exit 1)
         args
   in
-  let jobs = if !bench_jobs = 0 then Parallel.num_domains () else max 1 !bench_jobs in
+  let jobs = Parallel.resolve_jobs !bench_jobs in
   if jobs > 1 then
     Printf.eprintf "bench: fanning sections and sweep points over %d jobs\n%!" jobs;
   match jobs with

@@ -56,12 +56,35 @@ let num_field name ~default req =
 let int_field name ~default req =
   int_of_float (num_field name ~default:(float_of_int default) req)
 
+(* Bounds on the request fields that size the work of one request: every
+   probe draws its own Rng stream, estimator replica and cache overlay per
+   search iteration, and every workload pass is simulated and traced, so
+   one oversized value would exhaust the daemon's memory. *)
+let max_probes = 64
+let max_passes = 100_000
+
+exception Bad_request of string
+
+(* An integer field in [1, hi]; anything else present under [name] — a
+   fraction, a string, a value out of range — fails the request. *)
+let bounded_int_field name ~default ~hi req =
+  match field name req with
+  | None -> default
+  | Some v -> (
+    match Wire.num v with
+    | Some f when Float.is_integer f && f >= 1. && f <= float_of_int hi -> int_of_float f
+    | Some _ | None ->
+      raise (Bad_request (Printf.sprintf "%s must be an integer in 1..%d" name hi)))
+
+let passes_field req = bounded_int_field "passes" ~default:60 ~hi:max_passes req
+
 let options_of_request req =
   {
     Driver.default_options with
     clock_ns = num_field "clock" ~default:15.0 req;
     seed = int_field "seed" ~default:1 req;
-    probes = max 1 (int_field "probes" ~default:Search.default_num_probes req);
+    probes =
+      bounded_int_field "probes" ~default:Search.default_num_probes ~hi:max_probes req;
   }
 
 let with_target ~op oc req f =
@@ -120,7 +143,7 @@ let run_synthesize sv oc req =
       let objective = objective_of_request req in
       let laxity = num_field "laxity" ~default:2.0 req in
       let options = options_of_request req in
-      let seed = options.Driver.seed and passes = int_field "passes" ~default:60 req in
+      let seed = options.Driver.seed and passes = passes_field req in
       let workload = target.Cli_common.tg_workload ~seed ~passes in
       let key =
         Driver.design_key ~options target.Cli_common.tg_program ~workload ~objective
@@ -156,7 +179,7 @@ let run_sweep sv oc req =
         | _ -> [ 1.0; 1.5; 2.0; 2.5; 3.0 ]
       in
       let options = options_of_request req in
-      let seed = options.Driver.seed and passes = int_field "passes" ~default:60 req in
+      let seed = options.Driver.seed and passes = passes_field req in
       let workload = target.Cli_common.tg_workload ~seed ~passes in
       let key =
         Driver.sweep_key ~options target.Cli_common.tg_program ~workload ~laxities
@@ -187,7 +210,7 @@ let run_lint oc req =
   | None -> send oc (error_result ~op:"lint" "missing target")
   | Some spec -> (
     let clock = num_field "clock" ~default:15.0 req in
-    let passes = int_field "passes" ~default:60 req in
+    let passes = passes_field req in
     let seed = int_field "seed" ~default:1 req in
     match Cli_common.lint_target spec ~clock ~passes ~seed with
     | Error msg -> send oc (error_result ~op:"lint" msg)
@@ -241,7 +264,7 @@ let run_cache_stats sv oc =
          ("concurrency", num (Flight.limit sv.sv_flight));
        ])
 
-let dispatch sv oc req =
+let dispatch_op sv oc req =
   match str_field "op" req with
   | Some "ping" ->
     send oc
@@ -263,6 +286,13 @@ let dispatch sv oc req =
     (try Unix.shutdown sv.sv_listen Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
   | Some op -> send oc (error_result ~op (Printf.sprintf "unknown op %s" op))
   | None -> send oc (error_result ~op:"?" "missing op")
+
+(* Field validation runs before any work or progress frame, so a rejected
+   request answers with exactly one terminal frame. *)
+let dispatch sv oc req =
+  try dispatch_op sv oc req
+  with Bad_request msg ->
+    send oc (error_result ~op:(Option.value ~default:"?" (str_field "op" req)) msg)
 
 let handle_client sv fd =
   let ic = Unix.in_channel_of_descr fd in
@@ -291,7 +321,7 @@ let serve ~socket_path ?cache_dir ~jobs () =
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX socket_path);
   Unix.listen listen_fd 16;
-  let jobs = if jobs = 0 then Parallel.num_domains () else max 1 jobs in
+  let jobs = Parallel.resolve_jobs jobs in
   let pool = if jobs > 1 then Some (Parallel.create ~jobs ()) else None in
   (* Admission bound: distinct heavy requests overlap up to the physical
      core count (a single-core box degrades to serialised execution with

@@ -31,7 +31,7 @@ type options = {
   delta_reprice : bool;
   sweep_parallel : bool;
       (* fan the sweep's laxity points out over the worker pool (coarse
-         grain); candidate-level fan-out inside each point stays gated *)
+         grain); inside each point only speculative probes fan out *)
   range_power : bool;
       (* price width-scaled switching terms at the range analysis's
          effective widths instead of the declared ones.  Off by default:
@@ -55,8 +55,7 @@ let default_options =
     range_power = false;
   }
 
-let resolved_jobs options =
-  if options.jobs = 0 then Parallel.num_domains () else max 1 options.jobs
+let resolved_jobs options = Parallel.resolve_jobs options.jobs
 
 type design = {
   d_solution : Solution.t;
@@ -362,8 +361,12 @@ let make_frags ?store ~options program =
 
 (* Create the pool/cache requested by [options] — unless the caller supplied
    shared ones — and always shut a created pool down.  [frags] seeds the
-   created cache's fragment memo; a caller-supplied cache keeps its own. *)
-let with_engine ~options ?pool ?cache ?frags f =
+   created cache's fragment memo; a caller-supplied cache keeps its own.
+   A pool is created only when [fans_out] says the work has a parallel
+   grain: an idle worker domain still joins every stop-the-world minor
+   collection, which made a flat ([probes = 1]) synthesis at [jobs = 2]
+   ~1.5x slower than at [jobs = 1] on a 2-core machine. *)
+let with_engine ~options ~fans_out ?pool ?cache ?frags f =
   let cache =
     match cache with
     | Some _ -> cache
@@ -374,7 +377,7 @@ let with_engine ~options ?pool ?cache ?frags f =
   | Some _ -> f ?pool ?cache ()
   | None ->
     let jobs = resolved_jobs options in
-    if jobs <= 1 then f ?pool:None ?cache ()
+    if jobs <= 1 || not fans_out then f ?pool:None ?cache ()
     else Parallel.with_pool ~jobs (fun pool -> f ?pool:(Some pool) ?cache ())
 
 (* --- Persistent result store ----------------------------------------------
@@ -545,7 +548,7 @@ let synthesize ?(options = default_options) ?pool ?cache ?store program ~workloa
     ~objective ~laxity () =
   let env, enc_min = build_env ~options ?store program ~workload ~objective ~laxity in
   let cold () =
-    with_engine ~options ?pool ?cache
+    with_engine ~options ~fans_out:(options.probes > 1) ?pool ?cache
       ?frags:(make_frags ?store ~options program)
       (fun ?pool ?cache () ->
         synthesize_env ~options ?pool ?cache env ~enc_min ~objective ~laxity)
@@ -639,7 +642,9 @@ let figure13_cold ~options ?pool ?cache ?frags env0 ~enc_min program ~workload ~
      entries are deterministic functions of their keys — so the coarse
      fan-out below is bit-identical to the sequential sweep regardless of
      which domain computes which point (asserted by test_parallel_sweep). *)
-  with_engine ~options ?pool ?cache ?frags (fun ?pool ?cache () ->
+  with_engine ~options
+    ~fans_out:(options.sweep_parallel || options.probes > 1)
+    ?pool ?cache ?frags (fun ?pool ?cache () ->
       let synth ~objective ~laxity =
         let env =
           { env0 with Solution.enc_budget = laxity *. enc_min; objective }

@@ -33,8 +33,8 @@ type options = {
           [false] forces full re-estimation) *)
   sweep_parallel : bool;
       (** fan {!figure13}'s laxity points out over the worker pool (coarse
-          grain, bit-identical to the sequential sweep); candidate-level
-          fan-out inside each point stays subject to the granularity gate *)
+          grain, bit-identical to the sequential sweep); inside each point
+          only speculative probes fan out *)
   range_power : bool;
       (** price width-scaled switching terms at the
           {!Impact_cdfg.Ranges} effective widths instead of the declared
@@ -147,7 +147,9 @@ val synthesize :
   design
 (** A supplied [pool] or [cache] overrides what [options.jobs] /
     [options.eval_cache] would create (sharing them across calls is only
-    sound when the program, workload, clock and style agree). *)
+    sound when the program, workload, clock and style agree).  With
+    [options.probes = 1] the search has nothing to fan out, so no pool is
+    created whatever [options.jobs] says. *)
 
 val measure :
   design ->

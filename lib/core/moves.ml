@@ -131,8 +131,7 @@ let candidates env sol ~rng ~max =
 (* Whether [apply] would price this move by delta-repricing the predecessor
    ledger against an unchanged schedule (O(footprint) work) rather than
    rescheduling and re-estimating from scratch.  Mirrors the reuse decisions
-   in [apply] below; the search's granularity gate uses this to keep batches
-   of cheap candidates inline instead of fanning them out over the pool. *)
+   in [apply] below. *)
 let reprices env (sol : Solution.t) move =
   sol.Solution.ledger <> None
   &&
@@ -146,23 +145,14 @@ let reprices env (sol : Solution.t) move =
       <= (Binding.fu_module sol.Solution.binding fu).Module_library.delay_ns +. 1e-9)
   | Share_fu _ | Share_reg _ | Restructure _ -> false
 
-(* The two cost classes the search's measured-cost granularity gate samples
-   separately: a [Heavy] candidate reschedules and re-estimates from
-   scratch, a [Cheap] one re-prices its footprint against the predecessor's
-   ledger.  The classes differ by an order of magnitude, so one pooled
-   latency average would mis-size every mixed batch. *)
-type eval_class = Heavy | Cheap
-
-let eval_class env sol move = if reprices env sol move then Cheap else Heavy
-
 (* The resources a move touches, named against the *pre-move* binding (a
    split's fresh ids do not exist yet; its source unit/register covers
-   every operation the split redistributes).  For a Heavy move this bounds
-   its scheduling footprint: only operations bound to these units — or
-   reading values held in these registers, whose multiplexer networks the
-   move rewires — can see different delay/resource model values, so only
-   regions containing such operations can change fragment digest under the
-   incremental scheduler.  The classification tests pin that bound against
+   every operation the split redistributes).  For a move that reschedules
+   (one [reprices] rejects) this bounds its scheduling footprint: only
+   operations bound to these units — or reading values held in these
+   registers, whose multiplexer networks the move rewires — can see
+   different delay/resource model values, so only regions containing such
+   operations can change fragment digest under the incremental scheduler.  The classification tests pin that bound against
    {!Impact_sched.Scheduler.region_report}. *)
 let sched_footprint (_sol : Solution.t) move =
   match move with

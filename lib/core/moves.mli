@@ -23,22 +23,13 @@ val candidates :
 val reprices : Solution.env -> Solution.t -> move -> bool
 (** Whether {!apply} would price this move by delta-repricing the
     predecessor's ledger against a kept schedule (O(footprint) work) rather
-    than rescheduling and re-estimating; the search's granularity gate uses
-    this to classify candidates as light or heavy. *)
-
-type eval_class = Heavy | Cheap
-
-val eval_class : Solution.env -> Solution.t -> move -> eval_class
-(** {!reprices} as a class: [Cheap] moves delta-reprice, [Heavy] moves
-    reschedule and re-estimate.  The search samples per-class evaluation
-    latency online and uses the measured costs to size work-stealing
-    batches. *)
+    than rescheduling and re-estimating. *)
 
 val sched_footprint : Solution.t -> move -> Impact_power.Estimate.footprint
 (** The functional units and registers a move touches, named against the
     solution's (pre-move) binding — a split names its source resource,
-    which covers every operation the split redistributes.  For a Heavy
-    move this bounds the scheduling work the incremental fragment cache
+    which covers every operation the split redistributes.  For a move that
+    reschedules (one {!reprices} rejects) this bounds the scheduling work the incremental fragment cache
     leaves behind: only operations bound to the listed units, or fed by
     multiplexer networks of the listed registers, can change delay or
     resource model values, so only regions containing such operations can

@@ -12,7 +12,6 @@ type pool = {
   nonempty : Condition.t;
   mutable workers : unit Domain.t list;
   mutable closed : bool;
-  mutable dispatch_ns : float; (* measured per-item dispatch cost; < 0 until sampled *)
 }
 
 let now_s () = Unix.gettimeofday ()
@@ -41,6 +40,8 @@ let num_domains () =
     n
   | None -> detected_domains ()
 
+let resolve_jobs jobs = if jobs = 0 then num_domains () else max 1 jobs
+
 let rec worker_loop pool =
   Mutex.lock pool.lock;
   while Queue.is_empty pool.queue do
@@ -64,7 +65,6 @@ let create ?jobs () =
       nonempty = Condition.create ();
       workers = [];
       closed = false;
-      dispatch_ns = -1.;
     }
   in
   pool.workers <-
@@ -129,149 +129,6 @@ let map pool f xs =
       (Array.map
          (function Some (Ok v) -> v | Some (Error _) | None -> assert false)
          results)
-  end
-
-(* --- Work-stealing chunked map --------------------------------------------- *)
-
-(* One deque per participant; chunks are dealt round-robin up front.  The
-   owner pops from the front, thieves take from the back, both under the
-   deque's mutex (chunks are coarse enough that the lock is cold). *)
-type deque = {
-  d_lock : Mutex.t;
-  d_chunks : int array;
-  mutable d_lo : int;
-  mutable d_hi : int;
-}
-
-let map_stealing pool ?(chunk = 1) f xs =
-  let input = Array.of_list xs in
-  let n = Array.length input in
-  if n = 0 then ([], 0)
-  else begin
-    let chunk = max 1 chunk in
-    let n_chunks = (n + chunk - 1) / chunk in
-    let parts =
-      if pool.closed || pool.workers = [] then 1
-      else min pool.n_jobs (max 1 n_chunks)
-    in
-    if parts <= 1 then (List.map f xs, 0)
-    else begin
-      let results = Array.make n None in
-      let steals = Atomic.make 0 in
-      let completed = Atomic.make 0 in
-      let done_lock = Mutex.create () in
-      let all_done = Condition.create () in
-      let deques =
-        Array.init parts (fun p ->
-            let mine = ref [] in
-            let c = ref p in
-            while !c < n_chunks do
-              mine := !c :: !mine;
-              c := !c + parts
-            done;
-            let arr = Array.of_list (List.rev !mine) in
-            { d_lock = Mutex.create (); d_chunks = arr; d_lo = 0; d_hi = Array.length arr })
-      in
-      let take_own p =
-        let d = deques.(p) in
-        Mutex.lock d.d_lock;
-        let r =
-          if d.d_lo < d.d_hi then begin
-            let c = d.d_chunks.(d.d_lo) in
-            d.d_lo <- d.d_lo + 1;
-            Some c
-          end
-          else None
-        in
-        Mutex.unlock d.d_lock;
-        r
-      in
-      let steal victim =
-        let d = deques.(victim) in
-        Mutex.lock d.d_lock;
-        let r =
-          if d.d_lo < d.d_hi then begin
-            d.d_hi <- d.d_hi - 1;
-            Some d.d_chunks.(d.d_hi)
-          end
-          else None
-        in
-        Mutex.unlock d.d_lock;
-        r
-      in
-      let run_chunk c =
-        let lo = c * chunk in
-        let hi = min n ((c + 1) * chunk) in
-        for i = lo to hi - 1 do
-          results.(i) <-
-            Some (match f input.(i) with v -> Ok v | exception e -> Error e)
-        done;
-        let k = hi - lo in
-        if Atomic.fetch_and_add completed k = n - k then begin
-          Mutex.lock done_lock;
-          Condition.broadcast all_done;
-          Mutex.unlock done_lock
-        end
-      in
-      let participant p =
-        let rec own () =
-          match take_own p with
-          | Some c ->
-            run_chunk c;
-            own ()
-          | None -> rob 1
-        and rob k =
-          if k < parts then
-            match steal ((p + k) mod parts) with
-            | Some c ->
-              Atomic.incr steals;
-              run_chunk c;
-              rob 1
-            | None -> rob (k + 1)
-        in
-        own ()
-      in
-      for p = 1 to parts - 1 do
-        submit pool (fun () -> participant p)
-      done;
-      participant 0;
-      Mutex.lock done_lock;
-      while Atomic.get completed < n do
-        Condition.wait all_done done_lock
-      done;
-      Mutex.unlock done_lock;
-      Array.iter
-        (function Some (Error e) -> raise e | Some (Ok _) | None -> ())
-        results;
-      let out =
-        Array.to_list
-          (Array.map
-             (function Some (Ok v) -> v | Some (Error _) | None -> assert false)
-             results)
-      in
-      (out, Atomic.get steals)
-    end
-  end
-
-(* --- Dispatch-cost calibration --------------------------------------------- *)
-
-(* Per-item cost of routing work through the pool, measured on trivial
-   items.  The minimum of a few rounds filters scheduler noise; the result
-   is cached on the pool so the granularity gate pays for calibration
-   once. *)
-let dispatch_cost_ns pool =
-  if pool.dispatch_ns >= 0. then pool.dispatch_ns
-  else begin
-    let items = List.init 64 Fun.id in
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = now_s () in
-      ignore (map pool (fun x -> x) items);
-      let per_item = (now_s () -. t0) /. 64. in
-      if per_item < !best then best := per_item
-    done;
-    pool.dispatch_ns <- !best *. 1e9;
-    pool.dispatch_ns
   end
 
 let physical_parallelism pool = min pool.n_jobs (detected_domains ())

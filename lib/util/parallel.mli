@@ -1,9 +1,10 @@
 (** A small fixed-size [Domain]-based worker pool.
 
-    The pool exists so the variable-depth search can price a batch of
-    candidate solutions concurrently.  [map] preserves list order, so a
-    caller that picks the best element by an order-sensitive tie-break gets
-    results bit-identical to a sequential [List.map].
+    The pool fans out the two coarse units of work: the points of a sweep
+    and the speculative depth probes of one search iteration.  [map]
+    preserves list order, so a caller that picks the best element by an
+    order-sensitive tie-break gets results bit-identical to a sequential
+    [List.map].
 
     A pool of [jobs] means a total concurrency of [jobs]: [jobs - 1] worker
     domains plus the calling domain, which participates in every [map].
@@ -22,6 +23,10 @@ val num_domains : unit -> int
     override differs from detection, a diagnostic is printed to stderr once
     per distinct value. *)
 
+val resolve_jobs : int -> int
+(** The [--jobs] rule shared by every entry point: [0] means
+    {!num_domains}, any other value is clamped to at least 1. *)
+
 val create : ?jobs:int -> unit -> pool
 (** [create ~jobs ()] spawns [jobs - 1] worker domains ([jobs] defaults to
     [num_domains ()]; values below 1 are clamped to 1, meaning a pool that
@@ -37,25 +42,6 @@ val map : pool -> ('a -> 'b) -> 'a list -> 'b list
     element is re-raised.  After [shutdown] the pool degrades to a plain
     sequential [List.map]. *)
 
-val map_stealing : pool -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list * int
-(** [map_stealing pool ~chunk f xs] is an order-preserving parallel map
-    over contiguous chunks of [chunk] items (default 1).  Chunks are dealt
-    round-robin to per-participant deques; a participant that drains its
-    own deque steals from the back of its neighbours', so skewed per-item
-    costs cannot leave domains idle behind a static partition.  Returns the
-    results together with the number of steals that occurred (a
-    scheduling diagnostic — the results themselves are bit-identical to
-    [List.map f xs] regardless of stealing).  Exception semantics match
-    {!map}.  Degrades to sequential (0 steals) on a closed or
-    single-domain pool. *)
-
-val dispatch_cost_ns : pool -> float
-(** Measured per-item cost (in nanoseconds) of routing trivial work through
-    {!map} on this pool.  Sampled lazily on first use and cached, so the
-    first call costs a few trivial maps.  The granularity gate compares
-    this against measured candidate-evaluation cost to decide whether a
-    batch is worth dispatching at all. *)
-
 val physical_parallelism : pool -> int
 (** [min (jobs pool) (detected_domains ())] — how many of the pool's
     domains can actually run simultaneously on this machine.  A pool wider
@@ -63,9 +49,8 @@ val physical_parallelism : pool -> int
     only adds contention. *)
 
 val now_s : unit -> float
-(** Wall-clock seconds ([Unix.gettimeofday]) — the time base used for
-    dispatch-cost calibration, exported so callers sampling work-item cost
-    use the same clock. *)
+(** Wall-clock seconds ([Unix.gettimeofday]) — the one clock callers
+    use to time work items (probe busy time, fragment scheduling cost). *)
 
 val shutdown : pool -> unit
 (** Joins the worker domains.  Idempotent. *)

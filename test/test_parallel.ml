@@ -65,7 +65,10 @@ let test_map_after_shutdown () =
 
 let test_jobs_clamp () =
   Parallel.with_pool ~jobs:0 (fun pool -> check_int "clamped to 1" 1 (Parallel.jobs pool));
-  Parallel.with_pool ~jobs:4 (fun pool -> check_int "as given" 4 (Parallel.jobs pool))
+  Parallel.with_pool ~jobs:4 (fun pool -> check_int "as given" 4 (Parallel.jobs pool));
+  check_int "--jobs 0 auto-detects" (Parallel.num_domains ()) (Parallel.resolve_jobs 0);
+  check_int "--jobs -3 clamps to 1" 1 (Parallel.resolve_jobs (-3));
+  check_int "--jobs 5 as given" 5 (Parallel.resolve_jobs 5)
 
 let test_env_override () =
   Unix.putenv "IMPACT_JOBS" "7";
@@ -84,23 +87,11 @@ let test_map_qcheck =
           Parallel.map pool (fun x -> (2 * x) - 1) xs
           = List.map (fun x -> (2 * x) - 1) xs))
 
-(* --- Parallel.map_stealing -------------------------------------------------- *)
-
-let test_steal_basic () =
-  Parallel.with_pool ~jobs:4 (fun pool ->
-      let xs = List.init 100 Fun.id in
-      let rs, steals = Parallel.map_stealing pool (fun x -> x * x) xs in
-      check_bool "order and values" true (rs = List.map (fun x -> x * x) xs);
-      check_bool "steal count is non-negative" true (steals >= 0);
-      let empty, s0 = Parallel.map_stealing pool succ [] in
-      check_bool "empty" true (empty = [] && s0 = 0))
-
 (* Adversarially skewed per-item costs: every 17th item spins ~4000x longer
-   than the rest, so a static partition strands the cheap tail behind the
-   heavy items.  The hard assertion is bit-identity with List.map at every
-   chunk size — steal counts depend on runtime timing and are only reported,
-   never asserted. *)
-let test_steal_skewed () =
+   than the rest.  The atomic cursor hands items out one at a time, so the
+   cheap tail is never stranded behind a heavy item; the hard assertion is
+   bit-identity with List.map. *)
+let test_map_skewed () =
   let work n =
     let spins = if n mod 17 = 0 then 200_000 else 50 in
     let acc = ref n in
@@ -110,52 +101,16 @@ let test_steal_skewed () =
     !acc
   in
   let xs = List.init 120 Fun.id in
-  let seq = List.map work xs in
   Parallel.with_pool ~jobs:4 (fun pool ->
-      List.iter
-        (fun chunk ->
-          let rs, _steals = Parallel.map_stealing pool ~chunk work xs in
-          check_bool (Printf.sprintf "chunk %d identical" chunk) true (rs = seq))
-        [ 1; 7; 64; 1000 ])
+      check_bool "identical to List.map" true (Parallel.map pool work xs = List.map work xs))
 
-let test_steal_exception () =
-  Parallel.with_pool ~jobs:4 (fun pool ->
-      let xs = List.init 40 Fun.id in
-      match
-        Parallel.map_stealing pool ~chunk:3
-          (fun x -> if x mod 11 = 5 then raise (Boom x) else x)
-          xs
-      with
-      | _ -> Alcotest.fail "expected exception"
-      | exception Boom x ->
-        check_int "smallest failing index" 5 x;
-        (* the pool survives and later calls still work *)
-        let rs, _ = Parallel.map_stealing pool succ [ 1; 2; 3 ] in
-        check_bool "pool survives" true (rs = [ 2; 3; 4 ]))
-
-let test_steal_degrades () =
-  let pool = Parallel.create ~jobs:4 () in
-  Parallel.shutdown pool;
-  let rs, steals = Parallel.map_stealing pool succ [ 1; 2 ] in
-  check_bool "degrades to sequential" true (rs = [ 2; 3 ] && steals = 0)
-
-let test_steal_qcheck =
-  QCheck.Test.make ~count:40 ~name:"Parallel.map_stealing = List.map"
-    QCheck.(triple (list small_int) (int_range 1 6) (int_range 1 9))
-    (fun (xs, jobs, chunk) ->
-      Parallel.with_pool ~jobs (fun pool ->
-          fst (Parallel.map_stealing pool ~chunk (fun x -> (3 * x) + 1) xs)
-          = List.map (fun x -> (3 * x) + 1) xs))
-
-let test_dispatch_cost () =
+let test_physical_parallelism () =
   Parallel.with_pool ~jobs:2 (fun pool ->
-      let c1 = Parallel.dispatch_cost_ns pool in
-      let c2 = Parallel.dispatch_cost_ns pool in
-      check_bool "positive and finite" true (c1 > 0. && Float.is_finite c1);
-      check_bool "cached after first sample" true (c1 = c2);
       check_bool "physical parallelism is clamped" true
         (Parallel.physical_parallelism pool >= 1
-        && Parallel.physical_parallelism pool <= 2))
+        && Parallel.physical_parallelism pool <= 2));
+  Parallel.with_pool ~jobs:1 (fun pool ->
+      check_int "one job, one domain" 1 (Parallel.physical_parallelism pool))
 
 (* --- Search determinism ---------------------------------------------------- *)
 
@@ -210,7 +165,7 @@ let test_search_seed_property =
 
 (* The full stats-relevant trajectory: final solution, accepted move log,
    and every counter that is defined to be a deterministic function of the
-   seed (steals and busy fraction are timing diagnostics and excluded). *)
+   seed (the busy fraction is a timing diagnostic and is excluded). *)
 let trajectory_fingerprint d =
   let s = d.Driver.d_search in
   ( ( d.Driver.d_solution.Solution.cost,
@@ -314,16 +269,10 @@ let () =
           Alcotest.test_case "shutdown degrades" `Quick test_map_after_shutdown;
           Alcotest.test_case "jobs clamp" `Quick test_jobs_clamp;
           Alcotest.test_case "IMPACT_JOBS" `Quick test_env_override;
+          Alcotest.test_case "skewed costs" `Quick test_map_skewed;
+          Alcotest.test_case "physical parallelism clamp" `Quick
+            test_physical_parallelism;
           QCheck_alcotest.to_alcotest test_map_qcheck;
-        ] );
-      ( "stealing",
-        [
-          Alcotest.test_case "map_stealing basics" `Quick test_steal_basic;
-          Alcotest.test_case "skewed costs" `Quick test_steal_skewed;
-          Alcotest.test_case "exception propagates" `Quick test_steal_exception;
-          Alcotest.test_case "shutdown degrades" `Quick test_steal_degrades;
-          Alcotest.test_case "dispatch-cost calibration" `Quick test_dispatch_cost;
-          QCheck_alcotest.to_alcotest test_steal_qcheck;
         ] );
       ( "determinism",
         [

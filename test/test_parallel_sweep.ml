@@ -1,10 +1,8 @@
 (* Coarse-grained sweep orchestration: [Driver.figure13] over the worker
    pool must reproduce the sequential sweep bit-for-bit on every benchmark;
-   the search's adaptive granularity gate; [Moves.reprices]; and the
-   precomputed edge-consumer index behind [Sim.edge_values]. *)
+   [Moves.reprices]; and the precomputed edge-consumer index behind
+   [Sim.edge_values]. *)
 
-module Parallel = Impact_util.Parallel
-module Rng = Impact_util.Rng
 module Ir = Impact_cdfg.Ir
 module Graph = Impact_cdfg.Graph
 module Sim = Impact_sim.Sim
@@ -65,8 +63,9 @@ let test_sweep_parallel_identical bench () =
   check_bool "pooled sweep = sequential sweep (power, area, Vdd, ENC, moves)" true
     (sweep_fingerprint seq = sweep_fingerprint coarse)
 
-(* Probes = 1 is the flat single-trajectory path, where the pool only sees
-   the measured-cost batch gate; the default probes fan out depth probes. *)
+(* Probes = 1 is the flat single-trajectory path, which ignores the pool
+   and prices every candidate batch inline; the default probes fan out
+   depth probes. *)
 let test_sweep_inner_parallel_identical () =
   List.iter
     (fun probes ->
@@ -74,12 +73,12 @@ let test_sweep_inner_parallel_identical () =
       let seq = sweep Suite.gcd { opts with Driver.jobs = 1 } in
       let inner = sweep Suite.gcd { opts with Driver.jobs = 4 } in
       check_bool
-        (Printf.sprintf "candidate-level pool only, same sweep (probes %d)" probes)
+        (Printf.sprintf "search-level pool only, same sweep (probes %d)" probes)
         true
         (sweep_fingerprint seq = sweep_fingerprint inner))
     [ Search.default_num_probes; 1 ]
 
-(* --- the adaptive granularity gate ----------------------------------------- *)
+(* --- a search environment for the move-classification tests ---------------- *)
 
 let make_env bench =
   let prog = Suite.program bench in
@@ -105,51 +104,6 @@ let make_env bench =
     objective = Solution.Minimize_power;
     area_ref;
   }
-
-let run_search env ?pool ?fanout () =
-  let initial = Solution.initial env in
-  let rng = Rng.create ~seed:1 in
-  Search.optimize env initial ~rng ~depth:2 ~max_candidates:12 ~max_iterations:4
-    ?pool ?fanout ()
-
-(* The measured-cost gate: placement (inline vs work-stealing fan-out) must
-   never change the result; the [`Never]/[`Always] overrides pin both ends,
-   and [`Auto] — whose decisions depend on sampled latencies and detected
-   hardware, so they are not asserted individually — must account for every
-   batch it saw, one way or the other. *)
-let test_granularity_gate () =
-  let env = make_env Suite.gcd in
-  let seq_sol, seq_stats = run_search env () in
-  check_int "no pool, no parallel batches" 0 seq_stats.Search.batches_parallel;
-  check_int "no pool, no gated batches" 0 seq_stats.Search.batches_inline;
-  Parallel.with_pool ~jobs:4 (fun pool ->
-      let inline_sol, inline_stats = run_search env ~pool ~fanout:`Never () in
-      let fan_sol, fan_stats = run_search env ~pool ~fanout:`Always () in
-      let auto_sol, auto_stats = run_search env ~pool ~fanout:`Auto () in
-      check_int "`Never keeps every batch inline" 0
-        inline_stats.Search.batches_parallel;
-      check_bool "inline batches are counted" true
-        (inline_stats.Search.batches_inline > 0);
-      check_int "`Always fans every batch out" 0 fan_stats.Search.batches_inline;
-      check_bool "parallel batches are counted" true
-        (fan_stats.Search.batches_parallel > 0);
-      check_bool "the gate saw every batch" true
-        (auto_stats.Search.batches_parallel + auto_stats.Search.batches_inline
-        = fan_stats.Search.batches_parallel);
-      (* On hardware with a single core the gate must keep everything
-         inline no matter how the candidates classify — dispatching onto an
-         oversubscribed core is the regression this gate fixes. *)
-      if Parallel.physical_parallelism pool <= 1 then
-        check_int "single core: auto gate never dispatches" 0
-          auto_stats.Search.batches_parallel;
-      check_bool "steals only happen when batches fan out" true
-        (inline_stats.Search.steals = 0);
-      check_bool "the gate never changes the result" true
-        (List.for_all
-           (fun s ->
-             s.Solution.cost = seq_sol.Solution.cost
-             && s.Solution.area = seq_sol.Solution.area)
-           [ inline_sol; fan_sol; auto_sol ]))
 
 (* --- Moves.reprices -------------------------------------------------------- *)
 
@@ -250,8 +204,6 @@ let () =
             Alcotest.test_case "inner-only pool = sequential" `Quick
               test_sweep_inner_parallel_identical;
           ] );
-      ( "gate",
-        [ Alcotest.test_case "granularity gate" `Quick test_granularity_gate ] );
       ("reprices", [ Alcotest.test_case "classification" `Quick test_reprices ]);
       ( "sim",
         [

@@ -151,9 +151,10 @@ let test_footprint_mapping () =
   check_fp "restructure_fu" (Moves.Restructure (Datapath.P_fu_input (8, 0))) [ 8 ] [];
   check_fp "restructure_reg" (Moves.Restructure (Datapath.P_reg_write 5)) [] [ 5 ]
 
-(* Semantic half: applying a Heavy move may only change the digests of
-   regions containing operations served by the footprint's units/registers
-   (that is what makes fragment reuse after a move sound and profitable). *)
+(* Semantic half: applying a rescheduling move (one [Moves.reprices]
+   rejects) may only change the digests of regions containing operations
+   served by the footprint's units/registers (that is what makes fragment
+   reuse after a move sound and profitable). *)
 let footprint_contains_changes env sol ~seen =
   let cfg = env.Solution.sched_config and prog = env.Solution.program in
   let report s =
@@ -165,7 +166,7 @@ let footprint_contains_changes env sol ~seen =
   let rng = Rng.create ~seed:17 in
   let heavy =
     Moves.candidates env sol ~rng ~max:1000
-    |> List.filter (fun m -> Moves.eval_class env sol m = Moves.Heavy)
+    |> List.filter (fun m -> not (Moves.reprices env sol m))
   in
   List.iter
     (fun mv ->
@@ -210,7 +211,7 @@ let test_footprint_classification () =
   List.iter
     (fun k -> check_bool (k ^ " constructor exercised") true (Hashtbl.mem seen k))
     [ "share_fu"; "substitute"; "share_reg" ];
-  check_bool "several Heavy constructors exercised" true (Hashtbl.length seen >= 3)
+  check_bool "several rescheduling constructors exercised" true (Hashtbl.length seen >= 3)
 
 (* --- Splice validation ----------------------------------------------------- *)
 
