@@ -331,13 +331,16 @@ let synthesize_env ~options ?pool ?cache env ~enc_min ~objective ~laxity =
 (* --- Region-fragment cache -------------------------------------------------
 
    The incremental scheduler's fragment memo, threaded through the signature
-   cache into every cached-path schedule.  The in-memory table makes Heavy
-   moves within one run cheap; with a store, fragments additionally persist
-   in their own ["frag"] tier, keyed by (program identity, region content
-   digest), so a warm-miss rerun — same program, shifted laxity — starts
-   with a hot fragment cache too.  The per-region digest covers the config
-   fingerprint and every per-node model value, so the tier needs no
-   options/library component in its context. *)
+   cache into every cached-path schedule.  It exists only with a store:
+   fragments persist in their own ["frag"] tier, keyed by (program identity,
+   region content digest), so a warm-miss rerun — same program, shifted
+   laxity — starts with a hot fragment cache.  Within one storeless run the
+   memo does not pay: next to the signature cache it made every
+   benchmark's synthesis slower and allocated ~1.5x the major-heap words
+   (DESIGN.md "Incremental scheduling" has the measurements).  The
+   per-region digest covers the config fingerprint and every per-node
+   model value, so the tier needs no options/library component in its
+   context. *)
 
 let frag_context program =
   String.concat "|"
@@ -353,11 +356,12 @@ let frag_backing st =
   }
 
 let make_frags ?store ~options program =
-  if options.eval_cache then
+  match store with
+  | Some st when options.eval_cache ->
     Some
       (Impact_sched.Fragcache.create ~context:(frag_context program)
-         ?backing:(Option.map frag_backing store) ())
-  else None
+         ~backing:(frag_backing st) ())
+  | _ -> None
 
 (* Create the pool/cache requested by [options] — unless the caller supplied
    shared ones — and always shut a created pool down.  [frags] seeds the
@@ -392,24 +396,23 @@ let with_engine ~options ~fans_out ?pool ?cache ?frags f =
    stale schedule) reads as a miss and falls back to a cold search that
    overwrites the entry. *)
 
-(* Only trajectory-defining knobs participate: [jobs], [eval_cache],
-   [delta_reprice] and [sweep_parallel] are neutral by construction, so
-   results computed at any engine configuration serve every other one.
-   test_parallel and test_parallel_sweep check [jobs] and [sweep_parallel],
-   test_delta checks [delta_reprice], and test_store checks that
-   [eval_cache = false] gives the same cost, area, ENC, Vdd and STG
-   signature.  The moves log can differ with the caches off: the
-   signature cache serves relabeled-isomorphic bindings from one entry, so
-   a cached search may log a different (equal-cost) move sequence, and a
-   warm hit returns whichever log was stored. *)
+(* Only trajectory-defining knobs participate: [jobs], [delta_reprice] and
+   [sweep_parallel] are neutral by construction, so results computed at any
+   engine configuration serve every other one (test_parallel and
+   test_parallel_sweep check [jobs] and [sweep_parallel], test_delta checks
+   [delta_reprice]).  [eval_cache] is not neutral: a signature-cache hit
+   hands back a relabeled-isomorphic binding whose unit ids differ from the
+   ones a fresh build would assign, and later moves are drawn by unit id, so
+   the two settings can end at different designs (loops, power, laxity
+   2.25).  Like [range_power] it is appended only when it differs from the
+   default, so every default key stays byte-identical. *)
 let options_fingerprint o =
-  Printf.sprintf "clock=%h,style=%s,depth=%d,cand=%d,seed=%d,restructure=%b,iter=%d,probes=%d%s"
+  Printf.sprintf "clock=%h,style=%s,depth=%d,cand=%d,seed=%d,restructure=%b,iter=%d,probes=%d%s%s"
     o.clock_ns
     (match o.style with Scheduler.Wavesched -> "wavesched" | Scheduler.Baseline -> "baseline")
     o.depth o.max_candidates o.seed o.enable_restructure o.max_iterations o.probes
-    (* Appended only when on so every pre-existing key stays byte-identical
-       with range pricing off. *)
     (if o.range_power then ",range_power=true" else "")
+    (if o.eval_cache then "" else ",eval_cache=false")
 
 let objective_tag = function
   | Solution.Minimize_area -> "area"

@@ -26,7 +26,12 @@ type options = {
           single-trajectory search).  Part of the search definition — it
           changes the trajectory — and deliberately independent of [jobs]:
           any probe count gives bit-identical results at any job count *)
-  eval_cache : bool;  (** reuse candidate builds via the signature cache *)
+  eval_cache : bool;
+      (** reuse candidate builds via the signature cache.  With a store it
+          also carries the region-fragment cache backed by the store's
+          ["frag"] tier; storeless runs have no fragment cache.  Not
+          trajectory-neutral (a cache hit returns a relabeled-isomorphic
+          binding), so [false] is part of the store key *)
   delta_reprice : bool;
       (** let schedule-keeping moves re-price only their resource footprint
           against the predecessor's energy ledger (bit-identical totals;
@@ -47,9 +52,9 @@ val default_options : options
 
 val options_fingerprint : options -> string
 (** The trajectory-defining option fields rendered into the store key.
-    Options that are off by default and add themselves only when enabled
-    (e.g. [range_power]) leave default fingerprints byte-identical across
-    versions. *)
+    Options that add themselves only when they differ from the default
+    ([range_power = true], [eval_cache = false]) leave default fingerprints
+    byte-identical across versions. *)
 
 val resolved_jobs : options -> int
 (** The effective concurrency ([jobs], or the auto-detected count when

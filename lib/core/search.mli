@@ -49,12 +49,14 @@ type stats = {
           [IMPACT_VERIFY_EACH] (0 when the mode is off) *)
   frags_reused : int;
       (** STG fragments served from the region-fragment cache during this
-          run's reschedules (0 without a fragment cache).  With concurrent
-          probes the split between reused and scheduled is
+          run's reschedules.  {!Driver} creates a fragment cache only for
+          calls with a store, so storeless runs read 0 here.  With
+          concurrent probes the split between reused and scheduled is
           timing-dependent, like [cache_hits]; schedules never are *)
   frags_scheduled : int;
       (** STG fragments computed by leaf scheduling and filed in the
-          fragment cache during this run *)
+          fragment cache during this run (0 without a fragment cache,
+          i.e. in every storeless {!Driver} run) *)
 }
 
 val default_num_probes : int

@@ -258,7 +258,7 @@ type cache = {
   cs_frags : Fragcache.t option;
       (* region-fragment memo threaded into every cached-path schedule; a
          signature-cache miss on a Heavy move then only re-schedules the
-         regions the move actually perturbed *)
+         regions the move actually perturbed (store-backed runs only) *)
 }
 
 let create_cache ?frags () =

@@ -68,9 +68,12 @@ val create_cache : ?frags:Impact_sched.Fragcache.t -> unit -> cache
 (** With [frags], every schedule taken on the cached path memoises
     per-region STG fragments there ({!Impact_sched.Scheduler.schedule}):
     a signature miss on a Heavy move then re-runs leaf scheduling only for
-    the regions the move perturbed.  The fragment cache inherits the
-    signature cache's sharing contract (one program / sched_config) and
-    its fork/commit discipline. *)
+    the regions the move perturbed, or none when an earlier process
+    persisted them.  The fragment cache inherits the signature cache's
+    sharing contract (one program / sched_config) and its fork/commit
+    discipline.  {!Driver} passes [frags] only when the call has a store,
+    whose ["frag"] tier backs it: without one, the in-memory memo alone
+    costs more than the leaf scheduling it saves. *)
 
 val frag_cache : cache -> Impact_sched.Fragcache.t option
 

@@ -607,52 +607,100 @@ let test_warm_miss_reuses_front_tiers () =
       check_bool "warm miss bit-identical to storeless cold" true
         (design_fingerprint warm_miss = design_fingerprint cold))
 
-(* [Driver.options_fingerprint] leaves [eval_cache] out of the store key, so
-   a design searched with the caches off must price identically to one
-   searched with them on.  The moves log is not compared: the signature
-   cache serves relabeled-isomorphic bindings from one entry, so the two
-   logs can name different (equal-cost) moves. *)
-let priced_fingerprint d =
-  ( d.Driver.d_solution.Solution.cost,
-    d.Driver.d_solution.Solution.area,
-    d.Driver.d_solution.Solution.enc,
-    d.Driver.d_solution.Solution.vdd,
-    Stg.signature d.Driver.d_solution.Solution.stg )
-
-let test_eval_cache_key_neutral () =
-  let uncached = { small_options with Driver.eval_cache = false } in
-  List.iter
-    (fun bench ->
-      let prog = Suite.program bench in
-      let workload = bench.Suite.workload ~seed:7 ~passes:10 in
-      let synth options =
-        Driver.synthesize ~options prog ~workload ~objective:Solution.Minimize_power
-          ~laxity:2.0 ()
+(* [eval_cache] is part of the store key when off: a signature-cache hit
+   hands back a relabeled-isomorphic binding and later moves depend on
+   unit ids, so the two settings can reach different designs.  Loops at
+   power, laxity 2.25 (default search, 60 passes, seed 1) is such a case.
+   A store filled cold with the cache off must not answer the default
+   request: the default answer is the storeless default search. *)
+let test_eval_cache_in_store_key () =
+  let uncached = { Driver.default_options with Driver.eval_cache = false } in
+  let bench = Suite.loops in
+  let prog = Suite.program bench in
+  let workload = bench.Suite.workload ~seed:1 ~passes:60 in
+  let objective = Solution.Minimize_power and laxity = 2.25 in
+  check_bool "design keys differ" true
+    (Driver.design_key ~options:Driver.default_options prog ~workload ~objective ~laxity
+    <> Driver.design_key ~options:uncached prog ~workload ~objective ~laxity);
+  check_bool "sweep keys differ" true
+    (Driver.sweep_key ~options:Driver.default_options prog ~workload ~laxities:[ laxity ]
+    <> Driver.sweep_key ~options:uncached prog ~workload ~laxities:[ laxity ]);
+  (* Default keys stay byte-identical to the ones earlier stores hold. *)
+  check_string "default fingerprint unchanged"
+    "clock=0x1.ep+3,style=wavesched,depth=4,cand=30,seed=1,restructure=true,iter=30,probes=4"
+    (Driver.options_fingerprint Driver.default_options);
+  with_dir (fun d ->
+      let store = Store.open_store ~dir:d () in
+      let synth ?store options =
+        Driver.synthesize ~options ?store prog ~workload ~objective ~laxity ()
       in
-      check_bool
-        (bench.Suite.bench_name ^ " eval_cache off prices identically")
-        true
-        (priced_fingerprint (synth small_options) = priced_fingerprint (synth uncached)))
-    [ Suite.gcd; Suite.cordic; Suite.paulin ];
+      let off = synth ~store uncached in
+      let served = synth ~store Driver.default_options in
+      let reference = synth Driver.default_options in
+      check_int "default request misses the design tier" 2
+        (tier "design" (Store.stats store)).Store.ts_writes;
+      check_bool "the settings disagree here" true
+        (design_fingerprint off <> design_fingerprint reference);
+      check_bool "default answer = storeless default" true
+        (design_fingerprint served = design_fingerprint reference))
+
+(* The in-memory fragment cache exists only to feed the store's "frag"
+   tier: storeless runs schedule every signature-cache miss directly and
+   report no fragment traffic, store-backed runs file fragments, and both
+   reach the same designs. *)
+let frag_counts (d : Driver.design) =
+  (d.Driver.d_search.Search.frags_reused, d.Driver.d_search.Search.frags_scheduled)
+
+let test_frags_only_with_store () =
+  let synth_case bench =
+    let prog = Suite.program bench in
+    let workload = bench.Suite.workload ~seed:7 ~passes:10 in
+    List.iter
+      (fun (objective, laxity) ->
+        let synth ?store () =
+          Driver.synthesize ~options:small_options ?store prog ~workload ~objective
+            ~laxity ()
+        in
+        let name = Printf.sprintf "%s %s %g" bench.Suite.bench_name
+            (match objective with
+            | Solution.Minimize_area -> "area"
+            | Solution.Minimize_power -> "power")
+            laxity
+        in
+        let storeless = synth () in
+        check_bool (name ^ ": storeless reports no fragments") true
+          (frag_counts storeless = (0, 0));
+        with_dir (fun d ->
+            let store = Store.open_store ~dir:d () in
+            let stored = synth ~store () in
+            check_bool (name ^ ": store run schedules fragments") true
+              (snd (frag_counts stored) > 0);
+            check_bool (name ^ ": frag tier written") true
+              ((tier "frag" (Store.stats store)).Store.ts_writes > 0);
+            check_bool (name ^ ": same design with and without a store") true
+              (design_fingerprint stored = design_fingerprint storeless)))
+      [ (Solution.Minimize_area, 1.5); (Solution.Minimize_power, 2.0) ]
+  in
+  List.iter synth_case [ Suite.loops; Suite.dealer ];
   let prog = Suite.program Suite.gcd in
   let workload = Suite.gcd.Suite.workload ~seed:7 ~passes:10 in
-  let sweep options =
-    let sw = Driver.figure13 ~options prog ~workload ~laxities:[ 1.0; 2.0; 3.0 ] in
-    ( sw.Driver.sw_base_power,
-      sw.Driver.sw_base_area,
-      List.map
-        (fun p ->
-          ( p.Driver.sp_a_power,
-            p.Driver.sp_i_power,
-            p.Driver.sp_i_area,
-            p.Driver.sp_a_vdd,
-            p.Driver.sp_i_vdd,
-            priced_fingerprint p.Driver.sp_area_design,
-            priced_fingerprint p.Driver.sp_power_design ))
-        sw.Driver.sw_points )
+  let sweep ?store () =
+    Driver.figure13 ~options:small_options ?store prog ~workload ~laxities:[ 1.0; 2.0 ]
   in
-  check_bool "gcd figure13 eval_cache off prices identically" true
-    (sweep small_options = sweep uncached)
+  let designs sw =
+    List.concat_map
+      (fun p -> [ p.Driver.sp_area_design; p.Driver.sp_power_design ])
+      sw.Driver.sw_points
+  in
+  check_bool "storeless figure13 reports no fragments" true
+    (List.for_all (fun d -> frag_counts d = (0, 0)) (designs (sweep ())));
+  with_dir (fun d ->
+      let store = Store.open_store ~dir:d () in
+      let stored = sweep ~store () in
+      check_bool "store figure13 schedules fragments" true
+        (List.exists (fun d -> snd (frag_counts d) > 0) (designs stored));
+      check_bool "store figure13 writes the frag tier" true
+        ((tier "frag" (Store.stats store)).Store.ts_writes > 0))
 
 (* --- single-flight scheduler ---------------------------------------------- *)
 
@@ -846,8 +894,10 @@ let () =
             test_warm_corruption_falls_back;
           Alcotest.test_case "warm miss reuses front tiers" `Slow
             test_warm_miss_reuses_front_tiers;
-          Alcotest.test_case "eval_cache is store-key neutral" `Slow
-            test_eval_cache_key_neutral;
+          Alcotest.test_case "eval_cache off keys separately" `Slow
+            test_eval_cache_in_store_key;
+          Alcotest.test_case "fragments only with a store" `Slow
+            test_frags_only_with_store;
           QCheck_alcotest.to_alcotest prop_warm_identity_over_seeds;
         ] );
     ]
