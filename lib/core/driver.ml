@@ -67,7 +67,7 @@ type design = {
   d_env : Solution.env;
 }
 
-(* --- Front-end artifact tiers ----------------------------------------------
+(* --- Store tiers -------------------------------------------------------------
 
    Everything [build_env] produces upstream of the search is independent of
    the objective, the laxity and most options, so it is persisted in its
@@ -78,16 +78,15 @@ type design = {
      a known workload skips [Sim.simulate];
    - ["traces"]: the estimator's unit/value switching memo contents (the
      k-way trace-merge results), keyed by (program, workload), seeded into
-     a fresh context so a warm-miss search starts with a hot estimator;
-   - ["lib"]: the module-library characterisation, keyed by its own
-     digest.
+     a fresh context so a warm-miss search starts with a hot estimator.
 
    A warm *miss* — same program and workload, new objective or laxity —
-   misses the ["design"] tier but hits all three front-end tiers, which is
-   where its speedup comes from.  Each tier stays bit-identical to a cold
-   computation: memo values are pure functions of their keys, and
-   [IMPACT_STORE_CHECK=1] recomputes every tier's warm answer fresh and
-   asserts identity. *)
+   misses the ["design"] tier but hits both front-end tiers, which is where
+   its speedup comes from.  The module-library characterisation has no tier
+   of its own: its digest is part of every design and sweep key.  Each tier
+   stays bit-identical to a cold computation: memo values are pure
+   functions of their keys, and [IMPACT_STORE_CHECK=1] recomputes every
+   tier's warm answer fresh and asserts identity. *)
 
 let store_version = 3
 
@@ -121,76 +120,76 @@ let front_key ~kind program ~workload =
 let sim_key program ~workload = front_key ~kind:"sim" program ~workload
 let traces_key program ~workload = front_key ~kind:"traces" program ~workload
 
-let lib_key () =
-  Store.key
-    (String.concat "|"
-       [ "impact-store"; string_of_int store_version; "lib"; library_digest () ])
-
 (* [IMPACT_STORE_CHECK=1] recomputes every warm answer cold and asserts the
    two agree on all run-to-run-reproducible outputs (the timing diagnostics
    in {!Search.stats} are exempt by definition). *)
-let store_check_enabled () =
-  match Sys.getenv_opt "IMPACT_STORE_CHECK" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
+let store_check () = Impact_util.Envflag.enabled "IMPACT_STORE_CHECK"
 
 let elapsed_ns f =
   let t0 = Unix.gettimeofday () in
   let v = f () in
   (v, int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
 
-let encode_sim portable = Marshal.to_string ("sim", portable) []
+(* Every payload is [Marshal (tag, value)].  The tag is read before any
+   typed field is touched, so a payload of another kind (or a damaged one)
+   decodes as a miss. *)
+let encode tag v = Marshal.to_string (tag, v) []
 
-let decode_sim payload : Sim.portable_run option =
-  match (Marshal.from_string payload 0 : string * Sim.portable_run) with
-  | "sim", p -> Some p
+let decode tag payload =
+  match (Marshal.from_string payload 0 : string * _) with
+  | t, v when String.equal t tag -> Some v
   | _ -> None
   | exception _ -> None
 
-(* The simulation tier: a hit re-attaches the caller's program to the
-   persisted event log; a miss simulates, recording the measured wall time
-   as the object's recompute cost. *)
-let simulate_cached ?store program ~workload =
-  let cold () = Sim.simulate program ~workload in
+(* The one path every result tier takes.  [cold ()] returns the answer and
+   a thunk for its persisted form, forced only on a store miss, so a
+   storeless call never builds it.  A hit goes through [load], which
+   rebuilds and validates it: [None] or an exception there reads as a miss,
+   recomputed and overwritten.  Under [IMPACT_STORE_CHECK] a hit is also
+   recomputed cold and must agree on [fingerprint]; that [Failure]
+   propagates.  A miss records its measured wall time as the object's
+   recompute cost. *)
+let get_or_compute ?store ~ns ~tag ~key ~load ~fingerprint cold =
   match store with
-  | None -> cold ()
+  | None -> fst (cold ())
   | Some st -> (
-    let k = sim_key program ~workload in
+    let k = key () in
     let miss () =
-      let run, cost_ns = elapsed_ns cold in
-      (try Store.put ~ns:"sim" ~cost_ns st k (encode_sim (Sim.to_portable run))
-       with _ -> ());
-      run
+      let (v, persisted), cost_ns = elapsed_ns cold in
+      (try Store.put ~ns ~cost_ns st k (encode tag (persisted ())) with _ -> ());
+      v
     in
-    match Option.bind (Store.find ~ns:"sim" st k) decode_sim with
+    match Option.bind (Store.find ~ns st k) (decode tag) with
     | None -> miss ()
-    | Some portable -> (
-      match Sim.of_portable program portable with
+    | Some entry -> (
+      match load entry with
+      | None -> miss ()
       | exception _ -> miss ()
-      | run ->
-        if
-          run.Sim.passes <> List.length workload
-          || Array.length run.Sim.pass_outputs <> max run.Sim.passes 1
-        then miss ()
-        else begin
-          if store_check_enabled () then begin
-            let fresh = cold () in
-            if
-              canonical_digest (Sim.to_portable fresh)
-              <> canonical_digest (Sim.to_portable run)
-            then
-              failwith "impact store: warm simulation diverges from a cold recomputation"
-          end;
-          run
-        end))
+      | Some v ->
+        if store_check () && fingerprint v <> fingerprint (fst (cold ())) then
+          failwith ("impact store: warm " ^ tag ^ " diverges from a cold recomputation");
+        v))
 
-let encode_traces snapshot = Marshal.to_string ("traces", snapshot) []
+(* A hit re-attaches the caller's program to the persisted event log. *)
+let simulate_cached ?store program ~workload =
+  get_or_compute ?store ~ns:"sim" ~tag:"sim"
+    ~key:(fun () -> sim_key program ~workload)
+    ~load:(fun portable ->
+      let run = Sim.of_portable program portable in
+      if
+        run.Sim.passes = List.length workload
+        && Array.length run.Sim.pass_outputs = max run.Sim.passes 1
+      then Some run
+      else None)
+    ~fingerprint:(fun run -> canonical_digest (Sim.to_portable run))
+    (fun () ->
+      let run = Sim.simulate program ~workload in
+      (run, fun () -> Sim.to_portable run))
 
-let decode_traces payload : Estimate.memo_snapshot option =
-  match (Marshal.from_string payload 0 : string * Estimate.memo_snapshot) with
-  | "traces", s -> Some s
-  | _ -> None
-  | exception _ -> None
+(* The traces tier is not a get-or-compute answer: it seeds a context before
+   the search and accumulates what the search memoised after it. *)
+let find_traces st k : Estimate.memo_snapshot option =
+  Option.bind (Store.find ~ns:"traces" st k) (decode "traces")
 
 (* Seed a fresh estimation context from the traces tier (entry granularity:
    unit signature — the canonical sorted operation set).  Under
@@ -198,21 +197,17 @@ let decode_traces payload : Estimate.memo_snapshot option =
    must agree bit-for-bit; a [Failure] there is a real divergence, any
    other decoding problem is an ordinary miss. *)
 let seed_traces ?store program ~workload est_ctx =
-  match store with
+  match Option.bind store (fun st -> find_traces st (traces_key program ~workload)) with
   | None -> ()
-  | Some st -> (
-    let k = traces_key program ~workload in
-    match Option.bind (Store.find ~ns:"traces" st k) decode_traces with
-    | None -> ()
-    | Some snapshot -> (
-      try Estimate.seed_memos ~check:(store_check_enabled ()) est_ctx snapshot
-      with
-      | Failure _ as e -> raise e
-      | _ -> ()))
+  | Some snapshot -> (
+    try Estimate.seed_memos ~check:(store_check ()) est_ctx snapshot with
+    | Failure _ as e -> raise e
+    | _ -> ())
 
 (* Publish what this request's searches memoised back into the traces tier,
    merged with whatever is already there (the tier accumulates across
-   objectives and laxities).  Skips the write when nothing new was
+   objectives and laxities, and re-reading right before the write keeps
+   what a concurrent writer added).  Skips the write when nothing new was
    computed; the recorded cost is the measured time spent in this
    context's memo misses. *)
 let sync_traces st program ~workload est_ctx =
@@ -220,9 +215,8 @@ let sync_traces st program ~workload est_ctx =
     let k = traces_key program ~workload in
     let fresh = Estimate.export_memos est_ctx in
     let existing =
-      Option.bind (Store.find ~ns:"traces" st k) decode_traces
-      |> Option.value
-           ~default:{ Estimate.ms_units = []; ms_values = [] }
+      find_traces st k
+      |> Option.value ~default:{ Estimate.ms_units = []; ms_values = [] }
     in
     let merge old now =
       List.fold_left
@@ -238,27 +232,7 @@ let sync_traces st program ~workload est_ctx =
     in
     if merged <> existing then
       Store.put ~ns:"traces" ~cost_ns:(Estimate.memo_cost_ns est_ctx) st k
-        (encode_traces merged)
-  with _ -> ()
-
-let encode_lib specs = Marshal.to_string ("lib", specs) []
-
-let decode_lib payload : Module_library.spec list option =
-  match (Marshal.from_string payload 0 : string * Module_library.spec list) with
-  | "lib", specs -> Some specs
-  | _ -> None
-  | exception _ -> None
-
-(* The library tier records the characterisation under its own digest.  A
-   valid entry that disagrees with the live library is overwritten (the
-   digest key makes that corruption, not skew). *)
-let ensure_lib st =
-  try
-    let k = lib_key () in
-    let specs, cost_ns = elapsed_ns (fun () -> Module_library.all_specs Module_library.default) in
-    match Option.bind (Store.find ~ns:"lib" st k) decode_lib with
-    | Some persisted when persisted = specs -> ()
-    | Some _ | None -> Store.put ~ns:"lib" ~cost_ns st k (encode_lib specs)
+        (encode "traces" merged)
   with _ -> ()
 
 let build_env ?(options = default_options) ?store program ~workload ~objective ~laxity =
@@ -470,24 +444,6 @@ let ledger_terms_of sol =
   | None -> []
   | Some ledger -> List.sort compare (Estimate.ledger_terms ledger)
 
-let encode_design entry = Marshal.to_string ("design", entry) []
-let encode_sweep entry = Marshal.to_string ("sweep", entry) []
-
-(* The kind tag is read before any typed field is touched, so a payload of
-   the other kind (impossible under the key scheme, which separates the
-   request kinds before hashing) degrades to a miss. *)
-let decode_design payload : design_entry option =
-  match (Marshal.from_string payload 0 : string * design_entry) with
-  | "design", entry -> Some entry
-  | _ -> None
-  | exception _ -> None
-
-let decode_sweep payload : sweep_entry option =
-  match (Marshal.from_string payload 0 : string * sweep_entry) with
-  | "sweep", entry -> Some entry
-  | _ -> None
-  | exception _ -> None
-
 let entry_of_design d =
   let sol = d.d_solution in
   {
@@ -505,6 +461,9 @@ let entry_of_design d =
 
 let feq a b = a = b || (Float.is_nan a && Float.is_nan b)
 
+(* Replays a persisted decision and cross-checks every recorded metric;
+   [None] (or an exception, which {!get_or_compute} treats alike) reads as
+   a miss. *)
 let design_of_entry env ~enc_min ~objective ~laxity entry =
   if not (feq enc_min entry.de_enc_min) then None
   else
@@ -512,33 +471,31 @@ let design_of_entry env ~enc_min ~objective ~laxity entry =
       Binding.of_portable env.Solution.program.Graph.graph env.Solution.library
         entry.de_binding
     with
-    | Error _ | (exception _) -> None
-    | Ok binding -> (
-      match
+    | Error _ -> None
+    | Ok binding ->
+      let sol =
         Solution.rebuild env ~binding ~restructured:entry.de_restructured
           ~reuse_stg:(Some entry.de_stg)
-      with
-      | exception _ -> None
-      | sol ->
-        if
-          feq sol.Solution.cost entry.de_cost
-          && feq sol.Solution.area entry.de_area
-          && feq sol.Solution.enc entry.de_enc
-          && feq sol.Solution.vdd entry.de_vdd
-          && Stg.signature sol.Solution.stg = Stg.signature entry.de_stg
-          && ledger_terms_of sol = entry.de_ledger
-        then
-          Some
-            {
-              d_solution = sol;
-              d_objective = objective;
-              d_laxity = laxity;
-              d_enc_min = enc_min;
-              d_enc_budget = env.Solution.enc_budget;
-              d_search = entry.de_stats;
-              d_env = env;
-            }
-        else None)
+      in
+      if
+        feq sol.Solution.cost entry.de_cost
+        && feq sol.Solution.area entry.de_area
+        && feq sol.Solution.enc entry.de_enc
+        && feq sol.Solution.vdd entry.de_vdd
+        && Stg.signature sol.Solution.stg = Stg.signature entry.de_stg
+        && ledger_terms_of sol = entry.de_ledger
+      then
+        Some
+          {
+            d_solution = sol;
+            d_objective = objective;
+            d_laxity = laxity;
+            d_enc_min = enc_min;
+            d_enc_budget = env.Solution.enc_budget;
+            d_search = entry.de_stats;
+            d_env = env;
+          }
+      else None
 
 let design_fingerprint d =
   let sol = d.d_solution in
@@ -550,38 +507,22 @@ let design_fingerprint d =
 let synthesize ?(options = default_options) ?pool ?cache ?store program ~workload
     ~objective ~laxity () =
   let env, enc_min = build_env ~options ?store program ~workload ~objective ~laxity in
-  let cold () =
-    with_engine ~options ~fans_out:(options.probes > 1) ?pool ?cache
-      ?frags:(make_frags ?store ~options program)
-      (fun ?pool ?cache () ->
-        synthesize_env ~options ?pool ?cache env ~enc_min ~objective ~laxity)
+  let d =
+    get_or_compute ?store ~ns:"design" ~tag:"design"
+      ~key:(fun () -> design_key ~options program ~workload ~objective ~laxity)
+      ~load:(design_of_entry env ~enc_min ~objective ~laxity)
+      ~fingerprint:design_fingerprint
+      (fun () ->
+        let d =
+          with_engine ~options ~fans_out:(options.probes > 1) ?pool ?cache
+            ?frags:(make_frags ?store ~options program)
+            (fun ?pool ?cache () ->
+              synthesize_env ~options ?pool ?cache env ~enc_min ~objective ~laxity)
+        in
+        (d, fun () -> entry_of_design d))
   in
-  match store with
-  | None -> cold ()
-  | Some st ->
-    ensure_lib st;
-    let k = design_key ~options program ~workload ~objective ~laxity in
-    let miss () =
-      let d, cost_ns = elapsed_ns cold in
-      (try Store.put ~cost_ns st k (encode_design (entry_of_design d)) with _ -> ());
-      d
-    in
-    let d =
-      match Option.bind (Store.find st k) decode_design with
-      | None -> miss ()
-      | Some entry -> (
-        match design_of_entry env ~enc_min ~objective ~laxity entry with
-        | None -> miss ()
-        | Some d ->
-          if store_check_enabled () then begin
-            let fresh = cold () in
-            if design_fingerprint d <> design_fingerprint fresh then
-              failwith "impact store: warm design diverges from a cold recomputation"
-          end;
-          d)
-    in
-    sync_traces st program ~workload env.Solution.est_ctx;
-    d
+  Option.iter (fun st -> sync_traces st program ~workload env.Solution.est_ctx) store;
+  d
 
 let restructure_all design =
   let sol = design.d_solution in
@@ -713,6 +654,19 @@ let figure13_cold ~options ?pool ?cache ?frags env0 ~enc_min program ~workload ~
       ( { sw_base_power = base_power; sw_base_area = base_area; sw_points = points },
         designs ))
 
+(* A sweep's persisted form: every unit's design entry plus the published
+   numbers (the power ratios are the measurements a warm hit skips). *)
+let entry_of_sweep sweep designs =
+  {
+    se_units = List.map (fun (unit, d) -> (unit, entry_of_design d)) designs;
+    se_base_power = sweep.sw_base_power;
+    se_base_area = sweep.sw_base_area;
+    se_points =
+      List.map
+        (fun p -> (p.sp_laxity, p.sp_a_power, p.sp_i_power, p.sp_i_area, p.sp_a_vdd, p.sp_i_vdd))
+        sweep.sw_points;
+  }
+
 (* Rebuild a persisted sweep.  The recorded designs go through the same
    metric cross-checks as warm single designs; the recorded point numbers
    additionally must be internally consistent with the rebuilt designs
@@ -788,53 +742,18 @@ let figure13 ?(options = default_options) ?pool ?cache ?store program ~workload
     build_env ~options ?store program ~workload ~objective:Solution.Minimize_area
       ~laxity:1.0
   in
-  let cold () =
-    figure13_cold ~options ?pool ?cache
-      ?frags:(make_frags ?store ~options program)
-      env0 ~enc_min program ~workload ~laxities
+  let sweep =
+    get_or_compute ?store ~ns:"design" ~tag:"sweep"
+      ~key:(fun () -> sweep_key ~options program ~workload ~laxities)
+      ~load:(sweep_of_entry env0 ~enc_min ~laxities)
+      ~fingerprint:sweep_fingerprint
+      (fun () ->
+        let sweep, designs =
+          figure13_cold ~options ?pool ?cache
+            ?frags:(make_frags ?store ~options program)
+            env0 ~enc_min program ~workload ~laxities
+        in
+        (sweep, fun () -> entry_of_sweep sweep designs))
   in
-  match store with
-  | None -> fst (cold ())
-  | Some st ->
-    ensure_lib st;
-    let k = sweep_key ~options program ~workload ~laxities in
-    let miss () =
-      let (sweep, designs), cost_ns = elapsed_ns cold in
-      (try
-         let entry =
-           {
-             se_units = List.map (fun (unit, d) -> (unit, entry_of_design d)) designs;
-             se_base_power = sweep.sw_base_power;
-             se_base_area = sweep.sw_base_area;
-             se_points =
-               List.map
-                 (fun p ->
-                   ( p.sp_laxity,
-                     p.sp_a_power,
-                     p.sp_i_power,
-                     p.sp_i_area,
-                     p.sp_a_vdd,
-                     p.sp_i_vdd ))
-                 sweep.sw_points;
-           }
-         in
-         Store.put ~cost_ns st k (encode_sweep entry)
-       with _ -> ());
-      sweep
-    in
-    let sweep =
-      match Option.bind (Store.find st k) decode_sweep with
-      | None -> miss ()
-      | Some entry -> (
-        match sweep_of_entry env0 ~enc_min ~laxities entry with
-        | None -> miss ()
-        | Some sweep ->
-          if store_check_enabled () then begin
-            let fresh, _ = cold () in
-            if sweep_fingerprint sweep <> sweep_fingerprint fresh then
-              failwith "impact store: warm sweep diverges from a cold recomputation"
-          end;
-          sweep)
-    in
-    sync_traces st program ~workload env0.Solution.est_ctx;
-    sweep
+  Option.iter (fun st -> sync_traces st program ~workload env0.Solution.est_ctx) store;
+  sweep

@@ -104,9 +104,16 @@ val restructure_all : design -> design
     trajectory-defining options, target) is looked up, a hit replays the
     persisted decision through the normal evaluation path with every recorded
     metric cross-checked — any disagreement falls back to a cold search that
-    overwrites the entry — and a miss persists the cold result.  Warm answers
-    are bit-identical to cold ones; setting [IMPACT_STORE_CHECK=1] makes
-    every warm answer recompute cold and assert that identity. *)
+    overwrites the entry — and a miss persists the cold result.  Designs and
+    sweeps share the ["design"] namespace (their keys separate the request
+    kinds); the simulation run takes the same get-or-compute path in the
+    ["sim"] namespace.  The persisted form of an answer is built only on a
+    store miss, so storeless calls never pay for it.  The module library
+    has no tier of its own: its digest is part of every design and sweep
+    key.  Warm answers are bit-identical to cold ones; setting
+    [IMPACT_STORE_CHECK=1] makes every warm answer recompute cold and
+    assert that identity, raising [Failure] on a divergence (never read as
+    a miss). *)
 
 val design_key :
   options:options ->
@@ -134,10 +141,6 @@ val traces_key :
   Impact_cdfg.Graph.program -> workload:(string * int) list list -> string
 (** The ["traces"]-namespace key of the (program, workload) switching-memo
     snapshot. *)
-
-val lib_key : unit -> string
-(** The ["lib"]-namespace key of the module-library characterisation
-    (keyed by the library digest itself). *)
 
 val synthesize :
   ?options:options ->

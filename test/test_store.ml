@@ -491,7 +491,6 @@ let test_warm_identity () =
           check_int (name ^ " cold design write") 1 (tier "design" st).Store.ts_writes;
           check_int (name ^ " cold sim write") 1 (tier "sim" st).Store.ts_writes;
           check_int (name ^ " cold traces write") 1 (tier "traces" st).Store.ts_writes;
-          check_int (name ^ " cold lib write") 1 (tier "lib" st).Store.ts_writes;
           let warm = synth () in
           let st' = Store.stats store in
           check_bool (name ^ " warm design hit") true
@@ -542,35 +541,102 @@ let test_warm_sweep_identity () =
                = design_fingerprint q.Driver.sp_power_design))
         cold.Driver.sw_points warm.Driver.sw_points)
 
-(* A corrupted design object must silently fall back to the cold path and
-   repair the entry — same answer, one more write. *)
+(* Copy a store object's bytes (a valid envelope) to another key's path. *)
+let copy_object ~src ~dst =
+  let ic = open_in_bin src in
+  let raw = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  (try Unix.mkdir (Filename.dirname dst) 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let oc = open_out_bin dst in
+  output_string oc raw;
+  close_out oc
+
+(* A damaged design object must silently fall back to the cold path and
+   repair the entry — same answer, one more write.  A valid envelope whose
+   payload carries another tier's tag is damage too. *)
 let test_warm_corruption_falls_back () =
+  let bench = Suite.gcd in
+  let prog = Suite.program bench in
+  let workload = bench.Suite.workload ~seed:7 ~passes:10 in
+  let key =
+    Driver.design_key ~options:small_options prog ~workload
+      ~objective:Solution.Minimize_power ~laxity:2.0
+  in
+  let damage =
+    [
+      ( "truncated",
+        fun d -> corrupt (object_path_of_key d key) (fun b -> Bytes.sub b 0 (Bytes.length b - 7)) );
+      ( "sim payload",
+        fun d ->
+          copy_object
+            ~src:(object_path_of_key ~ns:"sim" d (Driver.sim_key prog ~workload))
+            ~dst:(object_path_of_key d key) );
+    ]
+  in
+  List.iter
+    (fun (name, damage) ->
+      with_dir (fun d ->
+          let store = Store.open_store ~dir:d () in
+          let synth store =
+            Driver.synthesize ~options:small_options ~store prog ~workload
+              ~objective:Solution.Minimize_power ~laxity:2.0 ()
+          in
+          let cold = synth store in
+          check_bool (name ^ ": object exists") true (Sys.file_exists (object_path_of_key d key));
+          damage d;
+          let store2 = Store.open_store ~dir:d () in
+          let again = synth store2 in
+          check_bool (name ^ ": fallback identical") true
+            (design_fingerprint again = design_fingerprint cold);
+          check_int (name ^ ": entry repaired") 1
+            (tier "design" (Store.stats store2)).Store.ts_writes;
+          (* And the repaired entry serves warm. *)
+          let warm = synth store2 in
+          check_bool (name ^ ": repaired warm identical") true
+            (design_fingerprint warm = design_fingerprint cold)))
+    damage
+
+let with_store_check f =
+  Unix.putenv "IMPACT_STORE_CHECK" "1";
+  Fun.protect ~finally:(fun () -> Unix.putenv "IMPACT_STORE_CHECK" "0") f
+
+(* IMPACT_STORE_CHECK must catch what the load-time validation cannot: a
+   valid, self-consistent entry filed under another request's key.  Each
+   planted entry passes the shape and metric cross-checks, so only the cold
+   recomputation exposes it, and the [Failure] must reach the caller
+   instead of reading as a miss. *)
+let test_store_check_fires () =
+  let bench = Suite.gcd in
+  let prog = Suite.program bench in
+  let workload seed = bench.Suite.workload ~seed ~passes:10 in
+  let synth ?(options = small_options) store ~workload_seed =
+    Driver.synthesize ~options ~store prog ~workload:(workload workload_seed)
+      ~objective:Solution.Minimize_power ~laxity:2.0 ()
+  in
+  let diverges name f =
+    match with_store_check f with
+    | _ -> Alcotest.failf "%s: warm answer accepted" name
+    | exception Failure msg ->
+      check_bool (name ^ ": " ^ msg) true
+        (String.ends_with ~suffix:"diverges from a cold recomputation" msg)
+  in
+  (* Another workload's simulation run, same pass count. *)
   with_dir (fun d ->
-      let store = Store.open_store ~dir:d () in
-      let bench = Suite.gcd in
-      let prog = Suite.program bench in
-      let workload = bench.Suite.workload ~seed:7 ~passes:10 in
-      let synth store =
-        Driver.synthesize ~options:small_options ~store prog ~workload
-          ~objective:Solution.Minimize_power ~laxity:2.0 ()
-      in
-      let cold = synth store in
-      let key =
-        Driver.design_key ~options:small_options prog ~workload
+      ignore (synth (Store.open_store ~dir:d ()) ~workload_seed:7);
+      copy_object
+        ~src:(object_path_of_key ~ns:"sim" d (Driver.sim_key prog ~workload:(workload 7)))
+        ~dst:(object_path_of_key ~ns:"sim" d (Driver.sim_key prog ~workload:(workload 8)));
+      diverges "sim" (fun () -> synth (Store.open_store ~dir:d ()) ~workload_seed:8));
+  (* Another search seed's design, same program and workload. *)
+  with_dir (fun d ->
+      let key seed =
+        Driver.design_key ~options:{ small_options with seed } prog ~workload:(workload 7)
           ~objective:Solution.Minimize_power ~laxity:2.0
       in
-      let path = object_path_of_key d key in
-      check_bool "object exists" true (Sys.file_exists path);
-      corrupt path (fun b -> Bytes.sub b 0 (Bytes.length b - 7));
-      let store2 = Store.open_store ~dir:d () in
-      let again = synth store2 in
-      check_bool "fallback identical" true
-        (design_fingerprint again = design_fingerprint cold);
-      check_int "entry repaired" 1 (tier "design" (Store.stats store2)).Store.ts_writes;
-      (* And the repaired entry serves warm. *)
-      let warm = synth store2 in
-      check_bool "repaired warm identical" true
-        (design_fingerprint warm = design_fingerprint cold))
+      ignore
+        (synth ~options:{ small_options with seed = 2 } (Store.open_store ~dir:d ()) ~workload_seed:7);
+      copy_object ~src:(object_path_of_key d (key 2)) ~dst:(object_path_of_key d (key 1));
+      diverges "design" (fun () -> synth (Store.open_store ~dir:d ()) ~workload_seed:7))
 
 (* The tiered warm miss: same program and workload at a different laxity
    misses the design tier (a genuinely new search) but reuses the front-end
@@ -892,6 +958,8 @@ let () =
             test_warm_sweep_identity;
           Alcotest.test_case "corrupt entry falls back cold" `Quick
             test_warm_corruption_falls_back;
+          Alcotest.test_case "store check catches a planted entry" `Quick
+            test_store_check_fires;
           Alcotest.test_case "warm miss reuses front tiers" `Slow
             test_warm_miss_reuses_front_tiers;
           Alcotest.test_case "eval_cache off keys separately" `Slow

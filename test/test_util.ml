@@ -5,6 +5,7 @@ module Rng = Impact_util.Rng
 module Stats = Impact_util.Stats
 module Linsolve = Impact_util.Linsolve
 module Table = Impact_util.Table
+module Envflag = Impact_util.Envflag
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -176,6 +177,18 @@ let test_table_arity () =
   Alcotest.check_raises "arity" (Invalid_argument "Table.add_row: expected 2 cells, got 1")
     (fun () -> Table.add_row t [ "only" ])
 
+(* --- Envflag --------------------------------------------------------------- *)
+
+let test_envflag () =
+  (* No variable of this name is ever set. *)
+  check_bool "unset" false (Envflag.enabled "IMPACT_TEST_ENVFLAG_NEVER_SET");
+  let var = "IMPACT_TEST_ENVFLAG" in
+  List.iter
+    (fun (value, expected) ->
+      Unix.putenv var value;
+      check_bool (Printf.sprintf "%S" value) expected (Envflag.enabled var))
+    [ ("", false); ("0", false); ("1", true); ("yes", true) ]
+
 let () =
   let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests in
   Alcotest.run "impact_util"
@@ -216,4 +229,5 @@ let () =
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "arity" `Quick test_table_arity;
         ] );
+      ("envflag", [ Alcotest.test_case "unset, empty and 0 are off" `Quick test_envflag ]);
     ]
